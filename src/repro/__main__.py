@@ -703,7 +703,8 @@ def _stream_main(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="native pool width for chunk sorts (default: auto)",
+        help="native pool width for intermediate merge passes; runs are "
+        "always formed in-process with np.sort (default: auto)",
     )
     parser.add_argument(
         "--k", type=int, default=100,

@@ -394,25 +394,23 @@ def _scenario_stream_merge(seed: int, small: bool) -> ScenarioResult:
     An external sort is driven over a shared supervised pool with a
     scripted plan firing (a) ``spill.enospc`` and ``spill.short_write``
     during run formation, (b) a ``pool.worker.crash`` pinned to the first
-    *merge-phase* task -- the crash probe index is computed from the run
-    geometry so it lands after every run-formation phase -- and (c)
+    *merge-phase* task -- run formation sorts in-process and runs no pool
+    phases, so the first crash probe of the sort is that task -- and (c)
     ``spill.corrupt`` during the final in-parent merge reads.  The
     contract: the merged output is exactly ``np.sort`` of the input,
     every injected fault is recovered, and the pool's fault log shows the
     absorbed failure attributed to a ``stream.merge`` phase.
     """
     from ..native.pool import WorkerPool
-    from ..sorts.common import n_passes
     from ..stream import external_sort
 
     n = 40_000 if small else 160_000
     chunk_keys = n // 8  # 8 chunks -> 8 runs; fan_in=4 forces a merge pass
     keys = _keys(seed + 808, n)
-    p = 2  # worker count and the chunk sorts' task width
-    passes = n_passes(11, int(keys.max()).bit_length())
-    # Each chunk sort probes pool.worker.crash once per task per phase:
-    # `passes` radix passes x 2 phases (histogram, permute) x p tasks.
-    crash_idx = 8 * passes * 2 * p
+    p = 2  # worker count: the merge pass's two groups run in parallel
+    # pool.worker.crash is probed once per pool task, and the first pool
+    # task of the sort is the first group of merge pass 1.
+    crash_idx = 0
     plan = FaultPlan.scripted(
         {
             "pool.worker.crash": [crash_idx],

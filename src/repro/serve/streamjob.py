@@ -8,12 +8,14 @@ the server forms sorted spill runs on the shared engine as chunks fill,
 engine lane, the client polls ``stream-status`` for progress, and
 ``stream-fetch`` drains the merged output in sequential capped frames.
 
-The heavy work (chunk sorts, merge passes) runs on the server's
-single-lane engine executor, interleaved with regular jobs -- a stream
-is many short engine occupancies, never one long lock-out.  Spill state
-lives in a per-session ``repro_stream_*`` tempdir of ``repro_run_*``
-files (the same checksummed run format as :mod:`repro.stream`), removed
-when the fetch cursor hits EOF, on abort, and on server close.
+The heavy work runs on the server's single-lane engine executor,
+interleaved with regular jobs -- a stream is many short engine
+occupancies, never one long lock-out.  Each chunk is sorted there with
+one in-process ``np.sort``; only intermediate merge passes are pool
+phases.  Spill state lives in a per-session ``repro_stream_*`` tempdir
+of ``repro_run_*`` files (the same checksummed run format as
+:mod:`repro.stream`), removed when the fetch cursor hits EOF, on abort,
+and on server close.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from ..faults.context import use_fault_plan
-from ..stream.external import _sort_chunk
 from ..stream.merge import merge_iter_over, reduce_runs
 from ..stream.runfile import (
     RunReader,
+    RunWriter,
     StreamError,
     run_total_keys,
     write_run,
@@ -138,13 +140,11 @@ class StreamSession:
         )
 
     def form_run_on_engine(self, chunk: np.ndarray) -> None:
-        """Sort one chunk on the shared pool and spill it as a run."""
+        """Sort one chunk with ``np.sort`` and spill it as a run."""
         rec_ctx, plan_ctx = self._engine_ctx()
         t0 = time.perf_counter()
         with rec_ctx, plan_ctx:
-            bufs = self.engine.arena.buffers()
-            sorted_chunk = _sort_chunk(chunk, self.engine.pool, 11, None)
-            bufs.release_all()
+            sorted_chunk = np.sort(chunk)
             path = os.path.join(
                 self.workdir, f"repro_run_{self.runs:04d}.run"
             )
@@ -188,8 +188,6 @@ class StreamSession:
             if paths:
                 readers = [RunReader(p) for p in paths]
                 try:
-                    from ..stream.runfile import RunWriter
-
                     writer = RunWriter(
                         self._out_path, self.dtype, STREAM_FRAME_KEYS
                     )
@@ -218,8 +216,6 @@ class StreamSession:
                     for r in readers:
                         r.close()
             else:
-                from ..stream.runfile import RunWriter
-
                 with RunWriter(
                     self._out_path, self.dtype, STREAM_FRAME_KEYS
                 ):

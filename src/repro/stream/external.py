@@ -2,13 +2,12 @@
 
 :func:`external_sort` sorts a key stream of any size in bounded memory:
 the only full-width allocations are one ingest chunk (``chunk_keys``
-keys -- the out-of-core path's "arena") plus the shared sort buffers the
-chunk sort borrows.  Each chunk is sorted on the persistent supervised
-:class:`~repro.native.pool.WorkerPool` through the engineered kernel
-seam (run formation), spilled as a checksummed run file, and the runs
-are k-way merged -- multi-pass under a ``fan_in`` cap, intermediate
-passes as supervised pool phases, final pass streaming verified sorted
-blocks to the caller.
+keys -- the out-of-core path's "arena") and its sorted copy.  Each chunk
+is sorted in-process with ``np.sort`` (run formation), spilled as a
+checksummed run file, and the runs are k-way merged -- multi-pass under
+a ``fan_in`` cap, intermediate passes as supervised
+:class:`~repro.native.pool.WorkerPool` phases, final pass streaming
+verified sorted blocks to the caller.
 
 Everything is threaded through the existing seams:
 
@@ -36,7 +35,6 @@ import numpy as np
 from ..faults.context import current_fault_plan
 from ..faults.plan import FaultStats
 from ..native.pool import WorkerPool, default_workers
-from ..native.radix import parallel_radix_sort
 from ..trace import PID_STREAM, current_recorder
 from ..verify.context import current_sanitizer
 from .ingest import iter_chunks
@@ -77,32 +75,6 @@ class StreamResult:
         return self.mb_sorted / self.elapsed_s if self.elapsed_s > 0 else 0.0
 
 
-def _sort_chunk(
-    chunk: np.ndarray,
-    pool: WorkerPool | None,
-    radix: int,
-    kernel: str | None,
-) -> np.ndarray:
-    """Run formation: sort one chunk on the pool via the kernel seam.
-
-    The radix kernels are signed-int64 shared-memory paths; unsigned
-    chunks ride them through a value-preserving int64 round trip, except
-    uint64 keys past ``2**63 - 1`` which fall back to ``np.sort``.
-    """
-    if chunk.dtype.kind == "u":
-        if (
-            chunk.dtype.itemsize == 8
-            and len(chunk)
-            and int(chunk.max()) > np.iinfo(np.int64).max
-        ):
-            return np.sort(chunk)
-        widened = parallel_radix_sort(
-            chunk.astype(np.int64), pool=pool, radix=radix, kernel=kernel
-        )
-        return widened.astype(chunk.dtype)
-    return parallel_radix_sort(chunk, pool=pool, radix=radix, kernel=kernel)
-
-
 def external_sort(
     source,
     *,
@@ -113,8 +85,6 @@ def external_sort(
     workdir: str | os.PathLike | None = None,
     pool: WorkerPool | None = None,
     n_workers: int | None = None,
-    radix: int = 11,
-    kernel: str | None = None,
     out=None,
     on_block: Callable[[np.ndarray], None] | None = None,
     verify: bool = True,
@@ -126,6 +96,11 @@ def external_sort(
     receives the raw little-endian key bytes.  Spill files live in a
     fresh ``repro_stream_*`` directory under ``workdir`` (default: the
     system temp dir) and are removed on every path, including errors.
+
+    Runs are formed with one ``np.sort`` per chunk in this process.
+    Only intermediate merge passes use a pool: ``pool`` if given, else
+    an owned ``n_workers``-wide pool spawned only when the run count
+    exceeds ``fan_in`` and closed on exit.
 
     ``verify=True`` checks each output block is ascending and no block
     starts below the previous block's last key; key conservation
@@ -156,7 +131,7 @@ def external_sort(
     result = StreamResult()
     try:
         # ------------------------------------------------------ ingest +
-        # run formation: sort each chunk on the pool, spill it as a run.
+        # run formation: sort each chunk in-process, spill it as a run.
         run_paths: list[str] = []
         ingested = 0
         key_dtype: np.dtype | None = None
@@ -164,15 +139,6 @@ def external_sort(
             t_chunk = time.perf_counter()
             if key_dtype is None:
                 key_dtype = chunk.dtype
-                width = (
-                    pool.n_workers
-                    if pool is not None
-                    else (n_workers if n_workers is not None else default_workers())
-                )
-                if pool is None and width > 1 and chunk_keys // 4 > 1:
-                    own_pool = pool = WorkerPool(
-                        width, supervise=True, phase_timeout_s=60.0
-                    )
             ingested += len(chunk)
             if rec.enabled:
                 rec.complete(
@@ -184,7 +150,7 @@ def external_sort(
                     args={"keys": len(chunk), "bytes": int(chunk.nbytes)},
                 )
             t_run = time.perf_counter()
-            sorted_chunk = _sort_chunk(chunk, pool, radix, kernel)
+            sorted_chunk = np.sort(chunk)
             path = os.path.join(work, f"repro_run_{len(run_paths):04d}.run")
             spilled = write_run(path, sorted_chunk, frame_keys=frame_keys)
             run_paths.append(path)
@@ -209,6 +175,13 @@ def external_sort(
         in_runs = sum(run_total_keys(p) for p in run_paths)
 
         # --------------------------------------------------- merge passes
+        # Only intermediate passes use a pool: own one just for them.
+        if pool is None and len(run_paths) > fan_in:
+            width = n_workers if n_workers is not None else default_workers()
+            if width > 1:
+                own_pool = pool = WorkerPool(
+                    width, supervise=True, phase_timeout_s=60.0
+                )
         paths, passes, m_read, m_written = reduce_runs(
             run_paths,
             fan_in=fan_in,

@@ -64,6 +64,14 @@ class TestLifecycle:
         assert out.dtype == np.dtype("<u4")
         assert np.array_equal(out, np.sort(keys))
 
+    def test_negative_int64_stream(self, client):
+        keys = np.random.default_rng(13).integers(
+            -(1 << 62), 1 << 62, size=60_000, dtype=np.int64
+        )
+        keys[:3] = [-1, 5, np.iinfo(np.int64).min]
+        out = client.stream_sort(keys, chunk_keys=16_000, fan_in=2)
+        assert np.array_equal(out, np.sort(keys))
+
     def test_empty_stream(self, client):
         out = client.stream_sort(np.empty(0, dtype=np.int64))
         assert len(out) == 0
@@ -80,6 +88,30 @@ class TestLifecycle:
         while (block := client.stream_fetch(stream_id)) is not None:
             blocks.append(block)
         assert np.array_equal(np.concatenate(blocks), np.sort(keys))
+
+
+class TestShmSteadyState:
+    def test_stream_job_creates_no_shm(self):
+        """Run formation sorts in-process and merge passes pass paths,
+        so a multi-chunk stream job creates no shared-memory segment."""
+        from repro.native import shm
+
+        with server_in_thread(n_workers=2, queue_depth=8) as server:
+            with ServeClient(port=server.port) as client:
+                keys = _keys(14, 100_000)
+                before = shm.create_count()
+                stream_id = client.stream_open(
+                    "<i8", chunk_keys=20_000, fan_in=2
+                )
+                client.stream_push(stream_id, keys)
+                client.stream_close(stream_id)
+                final = client.stream_wait(stream_id, timeout_s=120.0)
+                assert final["runs"] == 5 and final["merge_passes"] >= 1
+                blocks = []
+                while (block := client.stream_fetch(stream_id)) is not None:
+                    blocks.append(block)
+                assert shm.create_count() - before == 0
+                assert np.array_equal(np.concatenate(blocks), np.sort(keys))
 
 
 class TestFrameCap:

@@ -73,9 +73,28 @@ class TestCorrectness:
         assert np.array_equal(out, np.sort(keys))
         assert result.dtype == np.dtype(dtype).str
 
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_negative_signed_keys(self, dtype, n_workers):
+        """Signed keys below zero are a supported dtype, not an error:
+        runs form and merge across the sign boundary."""
+        info = np.iinfo(dtype)
+        keys = np.random.default_rng(16).integers(
+            info.min, info.max, size=20_000, dtype=dtype, endpoint=True
+        )
+        keys[:4] = [-1, 5, info.min, 0]
+        blocks: list[np.ndarray] = []
+        result = external_sort(
+            keys, chunk_keys=2_500, fan_in=4, n_workers=n_workers,
+            on_block=blocks.append,
+        )
+        out = np.concatenate(blocks)
+        assert out.dtype == np.dtype(dtype)
+        assert np.array_equal(out, np.sort(keys))
+        assert result.runs == 8 and result.merge_passes == 1
+
     def test_uint64_beyond_int64_range(self):
-        """uint64 keys past 2**63-1 cannot ride the signed radix
-        kernels; the chunk sort must fall back without corrupting."""
+        """uint64 keys past 2**63-1 sort without corruption."""
         rng = np.random.default_rng(4)
         keys = rng.integers(
             1 << 62, (1 << 64) - 1, size=10_000, dtype=np.uint64
@@ -126,6 +145,48 @@ class TestCorrectness:
     def test_chunk_keys_validated(self):
         with pytest.raises(ValueError, match="chunk_keys"):
             external_sort(_keys(8, 16), chunk_keys=2)
+
+
+class TestOwnedPool:
+    """``external_sort(pool=None)`` spawns a pool only for merge passes."""
+
+    @pytest.fixture()
+    def spawned(self, monkeypatch):
+        import repro.stream.external as external_mod
+
+        pools = []
+
+        class RecordingPool(external_mod.WorkerPool):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(external_mod, "WorkerPool", RecordingPool)
+        return pools
+
+    def test_no_pool_when_runs_fit_fan_in(self, spawned):
+        keys = _keys(17, 16_000)
+        blocks: list[np.ndarray] = []
+        result = external_sort(
+            keys, chunk_keys=4_000, fan_in=4, n_workers=2,
+            on_block=blocks.append,
+        )
+        assert result.runs == 4 and result.merge_passes == 0
+        assert spawned == []
+        assert np.array_equal(np.concatenate(blocks), np.sort(keys))
+
+    def test_pool_for_a_merge_pass_is_closed_on_exit(self, spawned):
+        keys = _keys(18, 16_000)
+        blocks: list[np.ndarray] = []
+        result = external_sort(
+            keys, chunk_keys=2_000, fan_in=4, n_workers=2,
+            on_block=blocks.append,
+        )
+        assert result.runs == 8 and result.merge_passes == 1
+        assert len(spawned) == 1
+        assert spawned[0].n_workers == 2
+        assert spawned[0]._closed
+        assert np.array_equal(np.concatenate(blocks), np.sort(keys))
 
 
 class TestWorkdirHygiene:

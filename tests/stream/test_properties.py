@@ -1,7 +1,8 @@
 """Hypothesis properties at the stream seam.
 
 For random chunk sizes, fan-in limits, frame sizes, and every paper
-distribution (plus a duplicate-heavy one), the external sort must equal
+distribution (plus a duplicate-heavy one and signed ranges that cross
+zero), the external sort must equal
 ``np.sort`` of the concatenated input and top-k must equal
 ``np.sort(...)[-k:]`` -- regardless of how the input was framed into
 chunks, how many spill runs formed, or how many merge passes ran.
@@ -48,6 +49,28 @@ class TestExternalSortProperty:
     )
     def test_equals_np_sort(self, dist, seed, chunk_keys, fan_in, frame_keys):
         keys = _example_keys(dist, seed)
+        self._check(keys, chunk_keys, fan_in, frame_keys)
+
+    @common
+    @given(
+        dtype=st.sampled_from([np.int32, np.int64]),
+        low=st.integers(min_value=-(1 << 31), max_value=-1),
+        high=st.integers(min_value=1, max_value=(1 << 31) - 1),
+        seed=st.integers(min_value=1, max_value=1_000),
+        chunk_keys=st.integers(min_value=200, max_value=3_000),
+        fan_in=st.integers(min_value=2, max_value=5),
+        frame_keys=st.sampled_from([64, 257, 1_024]),
+    )
+    def test_signed_ranges_cross_zero(
+        self, dtype, low, high, seed, chunk_keys, fan_in, frame_keys
+    ):
+        keys = np.random.default_rng(seed).integers(
+            low, high, size=N, dtype=dtype, endpoint=True
+        )
+        self._check(keys, chunk_keys, fan_in, frame_keys)
+
+    @staticmethod
+    def _check(keys, chunk_keys, fan_in, frame_keys):
         blocks: list[np.ndarray] = []
         result = external_sort(
             keys,
