@@ -26,7 +26,7 @@ def study(algorithm: str, model: str, radix: int) -> None:
     times = {}
     for dist in PAPER_ORDER:
         keys = repro.data.generate(dist, SAMPLE, N_PROCS, radix=radix)
-        out = repro.simulate_sort(
+        out = repro.sort(
             keys, algorithm=algorithm, model=model, n_procs=N_PROCS,
             radix=radix, n_labeled=N_LABELED,
         )

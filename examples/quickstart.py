@@ -20,12 +20,12 @@ def main() -> None:
     keys = repro.data.generate("gauss", N, N_PROCS)
     print(f"sorting {N:,} Gauss keys on {N_PROCS} simulated processors...")
 
-    out = repro.simulate_sort(keys, algorithm="radix", model="shmem",
-                              n_procs=N_PROCS, radix=8)
+    out = repro.sort(keys, algorithm="radix", backend="sim", model="shmem",
+                     n_procs=N_PROCS, radix=8)
     assert np.array_equal(out.sorted_keys, np.sort(keys))
 
     seq = repro.sequential_baseline(keys)
-    print(f"  sorted correctly in {out.passes} radix passes")
+    print(f"  sorted correctly in {out.outcome.passes} radix passes")
     print(f"  simulated parallel time : {out.time_us / 1e3:10.2f} ms")
     print(f"  simulated 1-cpu baseline: {seq.time_us / 1e3:10.2f} ms")
     print(f"  speedup vs baseline     : {out.speedup_vs(seq.time_ns):10.1f}x")

@@ -47,11 +47,7 @@ from .core import (
     ExperimentRunner,
     RunSpec,
     SIZES,
-    compare_models,
-    predict_speedup,
-    predict_time,
     sequential_baseline,
-    simulate_sort,
     sort,
 )
 from .machine import CostModel, MachineConfig
@@ -76,17 +72,13 @@ __all__ = [
     "SortOutcome",
     "SortResult",
     "backends",
-    "compare_models",
     "data",
     "get_backend",
-    "predict_speedup",
-    "predict_time",
     "machine",
     "models",
     "report",
     "sequential_baseline",
     "sim",
-    "simulate_sort",
     "smp",
     "sort",
     "sorts",

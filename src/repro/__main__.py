@@ -778,27 +778,26 @@ def _stream_main(argv: list[str]) -> int:
     return 0
 
 
+#: Subcommand name -> (handler taking the remaining argv, one-line help).
+SUBCOMMANDS = {
+    "trace": (_trace_main, "run one sort on a backend and export its trace"),
+    "predict": (_predict_main, "analytic prediction (no simulation)"),
+    "calibrate": (_calibrate_main, "fit the predictor against the simulator"),
+    "check": (_check_main, "sanitized check of every backend vs np.sort"),
+    "cache": (_cache_main, "stats / clear / gc for the result cache"),
+    "chaos": (_chaos_main, "seeded fault-injection matrix, both backends"),
+    "serve": (_serve_main, "TCP sort-job server on the native pool"),
+    "loadgen": (_loadgen_main, "load/latency harness for a serve endpoint"),
+    "stream": (_stream_main, "out-of-core sort / top-k over a key stream"),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "trace":
-        return _trace_main(argv[1:])
-    if argv and argv[0] == "stream":
-        return _stream_main(argv[1:])
-    if argv and argv[0] == "check":
-        return _check_main(argv[1:])
-    if argv and argv[0] == "cache":
-        return _cache_main(argv[1:])
-    if argv and argv[0] == "chaos":
-        return _chaos_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return _serve_main(argv[1:])
-    if argv and argv[0] == "loadgen":
-        return _loadgen_main(argv[1:])
-    if argv and argv[0] == "predict":
-        return _predict_main(argv[1:])
-    if argv and argv[0] == "calibrate":
-        return _calibrate_main(argv[1:])
+    if argv and argv[0] in SUBCOMMANDS:
+        handler, _ = SUBCOMMANDS[argv[0]]
+        return handler(argv[1:])
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -807,8 +806,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "experiments",
         nargs="+",
-        help="experiment ids (see 'list'), 'list' / 'all', or 'trace' "
-        "(see 'python -m repro trace --help')",
+        help="experiment ids (see 'list'), 'list' / 'all', or a "
+        "subcommand (see 'python -m repro <subcommand> --help')",
     )
     parser.add_argument(
         "--small", action="store_true", help="reduced grid (much faster)"
@@ -859,14 +858,8 @@ def main(argv: list[str] | None = None) -> int:
         for exp_id, fn in EXPERIMENTS.items():
             doc = (fn.__doc__ or "").strip().splitlines()[0]
             print(f"{exp_id:<14} {doc}")
-        print("trace          run one sort on a backend and export its trace")
-        print("predict        analytic performance prediction (no simulation)")
-        print("calibrate      fit the analytic predictor against the simulator")
-        print("cache          stats / clear / gc for the persistent result cache")
-        print("chaos          seeded fault-injection matrix over both backends")
-        print("serve          TCP sort-job server on the resilient native pool")
-        print("loadgen        load/latency harness for a repro.serve endpoint")
-        print("stream         out-of-core sort / top-k over a key stream")
+        for name, (_, help_line) in SUBCOMMANDS.items():
+            print(f"{name:<14} {help_line}")
         return 0
 
     wanted = (

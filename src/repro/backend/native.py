@@ -18,7 +18,6 @@ import time
 import numpy as np
 
 from ..faults.context import current_fault_plan
-from ..native.kernels import resolve as resolve_kernel
 from ..native.pool import PhaseTiming, WorkerPool, POOL_TID
 from ..native.radix import parallel_radix_sort
 from ..native.sample import parallel_sample_sort
@@ -136,7 +135,6 @@ class NativeBackend(Backend):
                     args={
                         "n_keys": len(keys),
                         "n_workers": pool.n_workers,
-                        "kernel": resolve_kernel().name,
                     },
                 )
         report = report_from_timings(

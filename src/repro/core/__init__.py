@@ -1,7 +1,6 @@
 """Public API and experiment grid runner."""
 
-from .api import compare_models, sequential_baseline, simulate_sort, sort
-from .predict import predict_speedup, predict_time
+from .api import sequential_baseline, sort
 from .experiment import (
     PROC_COUNTS,
     SIZE_ORDER,
@@ -17,11 +16,7 @@ __all__ = [
     "RunSpec",
     "SIZE_ORDER",
     "SIZES",
-    "compare_models",
     "paper_page_bytes",
-    "predict_speedup",
-    "predict_time",
     "sequential_baseline",
-    "simulate_sort",
     "sort",
 ]

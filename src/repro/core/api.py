@@ -13,29 +13,21 @@ sort on either execution substrate behind the unified
 Pass ``trace=True`` (or a :class:`~repro.trace.TraceRecorder`) to capture
 a structured event trace; export it with
 :func:`repro.trace.write_chrome_trace`.
-
-:func:`simulate_sort` and :func:`compare_models` are the pre-Backend
-entry points, kept as thin deprecated shims.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
 from ..backend import ALGORITHMS, SortJob, SortResult, get_backend, infer_key_bits
 from ..machine.config import MachineConfig
 from ..machine.costs import CostModel, DEFAULT_COSTS
-from ..sorts.radix import SortOutcome
 from ..sorts.sequential import SequentialResult, sequential_radix_sort
 from ..trace import MemoryRecorder, TraceRecorder
 
 __all__ = [
     "ALGORITHMS",
-    "compare_models",
     "sequential_baseline",
-    "simulate_sort",
     "sort",
 ]
 
@@ -143,72 +135,3 @@ def sequential_baseline(
         key_bits=infer_key_bits(keys),
     )
 
-
-# ----------------------------------------------------------------------
-# Deprecated pre-Backend entry points (thin shims over sort())
-# ----------------------------------------------------------------------
-def simulate_sort(
-    keys: np.ndarray,
-    algorithm: str = "radix",
-    model: str = "shmem",
-    n_procs: int = 64,
-    radix: int | None = None,
-    machine: MachineConfig | None = None,
-    costs: CostModel = DEFAULT_COSTS,
-    n_labeled: int | None = None,
-) -> SortOutcome:
-    """Deprecated: use ``sort(keys, backend="sim", ...)``.
-
-    Returns the simulation's :class:`~repro.sorts.radix.SortOutcome` as
-    before; new code should use the backend-agnostic
-    :class:`~repro.backend.SortResult` from :func:`sort`.
-    """
-    warnings.warn(
-        "simulate_sort() is deprecated; use repro.core.api.sort("
-        "keys, backend='sim', ...) which returns a SortResult",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    result = sort(
-        keys,
-        algorithm=algorithm,
-        backend="sim",
-        model=model,
-        n_procs=n_procs,
-        radix=radix,
-        machine=machine,
-        costs=costs,
-        n_labeled=n_labeled,
-    )
-    assert result.outcome is not None
-    return result.outcome
-
-
-def compare_models(
-    keys: np.ndarray,
-    algorithm: str = "radix",
-    models: list[str] | None = None,
-    **kwargs,
-) -> dict[str, SortOutcome]:
-    """Deprecated: run the same workload under several programming models.
-
-    Use ``sort(keys, backend="sim", model=...)`` per model instead.
-    """
-    warnings.warn(
-        "compare_models() is deprecated; call repro.core.api.sort() with "
-        "backend='sim' once per model",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if models is None:
-        models = (
-            ["ccsas", "ccsas-new", "mpi-new", "mpi-sgi", "shmem"]
-            if algorithm == "radix"
-            else ["ccsas", "mpi-new", "mpi-sgi", "shmem"]
-        )
-    out: dict[str, SortOutcome] = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        for m in models:
-            out[m] = simulate_sort(keys, algorithm=algorithm, model=m, **kwargs)
-    return out

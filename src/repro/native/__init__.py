@@ -8,19 +8,15 @@ Python rendition of the algorithms the simulation studies.
     from repro.native import parallel_sort
     sorted_arr = parallel_sort(arr, algorithm="sample", n_workers=8)
 
-The per-element hot path (validation scan, per-pass histogram, stable
-blocked placement) lives in :mod:`repro.native.kernels`; set the
-``REPRO_NATIVE_KERNEL`` environment variable (``numpy`` / ``numba`` /
-``naive`` / ``auto``) or pass ``kernel=`` to pick an implementation --
-see docs/PERF.md.
+The radix sort's per-element hot path (validation scan, per-pass
+histogram, stable blocked placement) lives in
+:mod:`repro.native.kernels` -- see docs/PERF.md.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .kernels import KERNEL_ENV, numba_available
-from .kernels import resolve as resolve_kernel
 from .pool import PhaseTiming, WorkerPool, default_workers
 from .radix import parallel_radix_sort
 from .sample import parallel_sample_sort
@@ -47,14 +43,11 @@ def parallel_sort(
 
 
 __all__ = [
-    "KERNEL_ENV",
     "PhaseTiming",
     "SharedArray",
     "WorkerPool",
     "default_workers",
-    "numba_available",
     "parallel_radix_sort",
     "parallel_sample_sort",
     "parallel_sort",
-    "resolve_kernel",
 ]

@@ -1,59 +1,21 @@
 """Cache-conscious compute kernels for the native hot path.
 
 The paper's core claim is that sorting speed on CC-SAS machines is won
-or lost on memory traffic per pass.  The native sorts therefore route
-every per-element loop -- validation min/max, per-pass digit histograms,
-and the stable counting-sort placement -- through one of three
-interchangeable kernel implementations:
-
-``numpy`` (the engineered default)
-    Blocked pure-NumPy kernels in the IPS4o style: each worker walks its
-    slice in L2-resident blocks (:data:`BLOCK_ELEMS` elements), groups a
-    block's keys by digit with NumPy's C counting sort, and stores each
-    digit's keys as one contiguous run at the bucket cursor -- contiguous
-    per-bucket block writes instead of the seed's per-element scattered
-    stores, and a bincount/cumsum placement instead of its
-    argsort-plus-rank reconstruction (which cost ~six extra full passes
-    per permute).  Validation fuses min and max into a single pass over
-    memory.
-
-``numba`` (opt-in via ``REPRO_NATIVE_KERNEL=numba``)
-    The same operations as single fused JIT loops: the textbook
-    counting-sort placement (one read, one write per element, zero sorts
-    and zero temporaries).  Requires the optional :mod:`numba` package;
-    when it is missing the resolver warns once and falls back to the
-    pure-NumPy kernel, so the flag is always safe to set.
-
-``naive`` (the seed-equivalent baseline)
-    A faithful re-expression of the pre-kernel implementation -- the
-    defensive ``chunk.copy()``, the stable ``argsort``, the rank
-    reconstruction, the element-scattered store, and the separate
-    ``min()``/``max()`` validation scans.  Kept so benchmarks
-    (``benchmarks/BENCH_3.json``, ``compare.py --native``) and parity
-    tests can hold the engineered kernels against the exact seed
-    behavior.
-
-Selection: :func:`resolve` with an explicit name wins; otherwise the
-``REPRO_NATIVE_KERNEL`` environment variable (``numpy`` | ``numba`` |
-``naive`` | ``auto``); otherwise ``numpy``.  ``auto`` picks ``numba``
-when importable.  Pool tasks ship the *parent's* resolved kernel name so
-every worker runs the same implementation regardless of when it forked.
+or lost on memory traffic per pass.  The native radix sort therefore
+routes every per-element loop -- validation min/max, per-pass digit
+histograms, and the stable counting-sort placement -- through these
+blocked pure-NumPy kernels in the IPS4o style: each worker walks its
+slice in L2-resident blocks (:data:`BLOCK_ELEMS` elements), groups a
+block's keys by digit with NumPy's C counting sort, and stores each
+digit's keys as one contiguous run at the bucket cursor -- contiguous
+per-bucket block writes instead of per-element scattered stores, and a
+bincount/cumsum placement instead of an argsort-plus-rank reconstruction.
+Validation fuses min and max into a single pass over memory.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
-
-#: Environment variable selecting the kernel implementation.
-KERNEL_ENV = "REPRO_NATIVE_KERNEL"
-
-#: Kernel names accepted by :func:`resolve` (besides ``auto``).
-KERNEL_NAMES = ("numpy", "numba", "naive")
 
 #: Elements per cache block for the blocked NumPy kernels: 32Ki int64
 #: keys = 256 KiB, sized to keep a block plus its digit/permutation
@@ -70,37 +32,12 @@ def slice_bounds(n: int, p: int, w: int) -> tuple[int, int]:
     return lo, hi
 
 
-@dataclass(frozen=True)
-class Kernel:
-    """One interchangeable implementation of the hot-path primitives.
-
-    ``minmax(a)``
-        ``(min, max)`` of a non-empty 1-D integer array as Python ints,
-        in a single pass over memory.
-    ``histogram(a, shift, mask)``
-        int64 counts of ``(a >> shift) & mask`` over ``mask + 1`` bins.
-    ``scatter(src, dst, cursor, shift, mask)``
-        Stable counting-sort placement: write ``src``'s keys into the
-        global ``dst`` at per-digit positions starting from ``cursor``
-        (an int64 array of ``mask + 1`` running bucket cursors, advanced
-        in place), preserving the original order of equal digits.
-    """
-
-    name: str
-    minmax: Callable[[np.ndarray], tuple[int, int]]
-    histogram: Callable[[np.ndarray, int, int], np.ndarray]
-    scatter: Callable[[np.ndarray, np.ndarray, np.ndarray, int, int], None]
-
-
-# ----------------------------------------------------------------------
-# Engineered pure-NumPy kernels (blocked)
-# ----------------------------------------------------------------------
-def _np_minmax(a: np.ndarray) -> tuple[int, int]:
-    """Fused validation scan: one pass over memory for both extrema.
+def minmax(a: np.ndarray) -> tuple[int, int]:
+    """``(min, max)`` of a non-empty 1-D integer array as Python ints.
 
     Each block is reduced twice while L2-resident, so the array itself is
-    streamed from memory exactly once (the seed's separate ``a.min()``
-    and ``a.max()`` streamed it twice).
+    streamed from memory exactly once (separate ``a.min()`` and
+    ``a.max()`` calls would stream it twice).
     """
     lo = a[0]
     hi = a[0]
@@ -115,7 +52,8 @@ def _np_minmax(a: np.ndarray) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
-def _np_histogram(a: np.ndarray, shift: int, mask: int) -> np.ndarray:
+def histogram(a: np.ndarray, shift: int, mask: int) -> np.ndarray:
+    """int64 counts of ``(a >> shift) & mask`` over ``mask + 1`` bins."""
     nb = mask + 1
     out = np.zeros(nb, dtype=np.int64)
     for s in range(0, len(a), BLOCK_ELEMS):
@@ -124,21 +62,24 @@ def _np_histogram(a: np.ndarray, shift: int, mask: int) -> np.ndarray:
     return out
 
 
-def _np_scatter(
+def scatter(
     src: np.ndarray,
     dst: np.ndarray,
     cursor: np.ndarray,
     shift: int,
     mask: int,
 ) -> None:
-    """Blocked stable placement with contiguous per-bucket run stores.
+    """Stable counting-sort placement with contiguous per-bucket stores.
 
-    Per L2-resident block: extract digits, group the block's keys by
-    digit (NumPy's stable sort on small unsigned ints is its C counting
-    sort), then store every digit's keys as one contiguous run at that
-    bucket's cursor.  The only non-sequential access is one store per
-    *run* rather than per *element*, which is the IPS4o blocked-bucket
-    discipline this pass borrows.
+    Writes ``src``'s keys into the global ``dst`` at per-digit positions
+    starting from ``cursor`` (an int64 array of ``mask + 1`` running
+    bucket cursors, advanced in place), preserving the original order of
+    equal digits.  Per L2-resident block: extract digits, group the
+    block's keys by digit (NumPy's stable sort on small unsigned ints is
+    its C counting sort), then store every digit's keys as one contiguous
+    run at that bucket's cursor.  The only non-sequential access is one
+    store per *run* rather than per *element*, which is the IPS4o
+    blocked-bucket discipline this pass borrows.
     """
     nb = mask + 1
     arange = np.arange(min(BLOCK_ELEMS, len(src)), dtype=np.int64)
@@ -157,180 +98,3 @@ def _np_scatter(
         base = np.repeat(cursor - starts, counts)
         dst[base + arange[: len(blk)]] = grouped
         cursor += counts
-
-
-NUMPY_KERNEL = Kernel("numpy", _np_minmax, _np_histogram, _np_scatter)
-
-
-# ----------------------------------------------------------------------
-# Seed-equivalent baseline kernels
-# ----------------------------------------------------------------------
-def _stable_ranks(digits: np.ndarray) -> np.ndarray:
-    """Rank of each key among equal digits, in original order (the
-    within-slice component of the seed's stable placement)."""
-    m = len(digits)
-    if m == 0:
-        return np.zeros(0, dtype=np.int64)
-    order = np.argsort(digits, kind="stable")
-    sorted_digits = digits[order]
-    run_start = np.zeros(m, dtype=np.int64)
-    change = np.flatnonzero(np.diff(sorted_digits)) + 1
-    run_start[change] = change
-    run_start = np.maximum.accumulate(run_start)
-    ranks = np.empty(m, dtype=np.int64)
-    ranks[order] = np.arange(m, dtype=np.int64) - run_start
-    return ranks
-
-
-def _naive_minmax(a: np.ndarray) -> tuple[int, int]:
-    # Two full passes over memory, exactly as the seed validated.
-    return int(a.min()), int(a.max())
-
-
-def _naive_histogram(a: np.ndarray, shift: int, mask: int) -> np.ndarray:
-    digits = (a >> shift) & mask
-    return np.bincount(digits, minlength=mask + 1).astype(np.int64)
-
-
-def _naive_scatter(
-    src: np.ndarray,
-    dst: np.ndarray,
-    cursor: np.ndarray,
-    shift: int,
-    mask: int,
-) -> None:
-    chunk = src.copy()  # the seed's defensive copy, kept for honest A/B
-    digits = ((chunk >> shift) & mask).astype(np.int64)
-    dst[cursor[digits] + _stable_ranks(digits)] = chunk
-    cursor += np.bincount(digits, minlength=mask + 1)
-
-
-NAIVE_KERNEL = Kernel("naive", _naive_minmax, _naive_histogram, _naive_scatter)
-
-
-# ----------------------------------------------------------------------
-# Optional numba kernels (JIT single-loop counting placement)
-# ----------------------------------------------------------------------
-_numba_cache: Kernel | None = None
-_numba_failed = False
-_warned_fallback = False
-
-
-def numba_available() -> bool:
-    """True iff the optional numba kernel can be built in this process."""
-    return _build_numba() is not None
-
-
-def _build_numba() -> Kernel | None:
-    """Build (once) the JIT kernel; ``None`` when numba is unavailable."""
-    global _numba_cache, _numba_failed
-    if _numba_cache is not None:
-        return _numba_cache
-    if _numba_failed:
-        return None
-    try:
-        import numba
-    except ImportError:
-        _numba_failed = True
-        return None
-
-    @numba.njit(cache=False)
-    def nb_minmax(a):  # pragma: no cover - requires numba
-        lo = a[0]
-        hi = a[0]
-        for i in range(a.size):
-            v = a[i]
-            if v < lo:
-                lo = v
-            if v > hi:
-                hi = v
-        return lo, hi
-
-    @numba.njit(cache=False)
-    def nb_histogram(a, shift, mask, out):  # pragma: no cover
-        for i in range(a.size):
-            out[(a[i] >> shift) & mask] += 1
-
-    @numba.njit(cache=False)
-    def nb_scatter(src, dst, cursor, shift, mask):  # pragma: no cover
-        # The textbook stable counting placement: one read and one write
-        # per element, no sort, no rank reconstruction, no temporaries.
-        for i in range(src.size):
-            d = (src[i] >> shift) & mask
-            dst[cursor[d]] = src[i]
-            cursor[d] += 1
-
-    def minmax(a: np.ndarray) -> tuple[int, int]:  # pragma: no cover
-        lo, hi = nb_minmax(a)
-        return int(lo), int(hi)
-
-    def histogram(a, shift, mask):  # pragma: no cover - requires numba
-        out = np.zeros(mask + 1, dtype=np.int64)
-        nb_histogram(a, np.int64(shift), np.int64(mask), out)
-        return out
-
-    def scatter(src, dst, cursor, shift, mask):  # pragma: no cover
-        nb_scatter(src, dst, cursor, np.int64(shift), np.int64(mask))
-
-    _numba_cache = Kernel("numba", minmax, histogram, scatter)
-    return _numba_cache
-
-
-# ----------------------------------------------------------------------
-# Resolution
-# ----------------------------------------------------------------------
-def resolve(name: str | None = None) -> Kernel:
-    """Resolve a kernel implementation.
-
-    ``name`` overrides everything (pool tasks pass the parent's resolved
-    choice so workers stay consistent); ``None`` consults
-    ``REPRO_NATIVE_KERNEL``; an unset/empty variable means ``numpy``.
-    Requesting ``numba`` without the package installed warns once per
-    process and falls back to the engineered NumPy kernel.
-    """
-    requested = (name or os.environ.get(KERNEL_ENV, "") or "numpy").strip().lower()
-    if requested == "auto":
-        built = _build_numba()
-        return built if built is not None else NUMPY_KERNEL
-    if requested == "numba":
-        built = _build_numba()
-        if built is not None:
-            return built
-        global _warned_fallback
-        if not _warned_fallback:
-            _warned_fallback = True
-            warnings.warn(
-                f"{KERNEL_ENV}=numba requested but numba is not "
-                "installed; falling back to the pure-NumPy kernel",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return NUMPY_KERNEL
-    if requested == "numpy":
-        return NUMPY_KERNEL
-    if requested == "naive":
-        return NAIVE_KERNEL
-    raise ValueError(
-        f"unknown native kernel {requested!r}; choose from "
-        f"{KERNEL_NAMES + ('auto',)}"
-    )
-
-
-def warm(kernel: Kernel | None = None) -> str:
-    """Pre-exercise the active kernel; returns its name.
-
-    Pool workers call this from their initializer so the numba kernel's
-    JIT compilation (hundreds of milliseconds, per process and signature)
-    happens once at worker start instead of inside the first timed
-    phase.  A no-op-cheap call for the NumPy kernels.
-    """
-    kern = kernel if kernel is not None else resolve()
-    probe = np.array([3, 1, 2, 1], dtype=np.int64)
-    kern.minmax(probe)
-    kern.histogram(probe, 0, 3)
-    dst = np.empty(4, dtype=np.int64)
-    cursor = np.concatenate(
-        ([0], np.cumsum(np.bincount(probe & 3, minlength=4))[:-1])
-    ).astype(np.int64)
-    kern.scatter(probe, dst, cursor, 0, 3)
-    return kern.name

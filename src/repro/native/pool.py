@@ -67,18 +67,6 @@ POOL_TID = 0
 _POLL_S = 0.02
 
 
-def _worker_init(user_init: Callable[..., None] | None, user_args: tuple) -> None:
-    """Every-worker initializer: warm the active sort kernel (resolving
-    the ``REPRO_NATIVE_KERNEL`` choice once, and JIT-compiling the numba
-    kernels off the hot path if selected), then run the caller's own
-    initializer, if any."""
-    from . import kernels
-
-    kernels.warm()
-    if user_init is not None:
-        user_init(*user_args)
-
-
 class PhaseError(RuntimeError):
     """A supervised phase failed every retry attempt."""
 
@@ -226,16 +214,12 @@ class WorkerPool:
         self._initargs = tuple(initargs)
         ctx = mp.get_context(self.start_method)
         self._pool = (
-            ctx.Pool(
-                self.n_workers,
-                _worker_init,
-                (self._initializer, self._initargs),
-            )
+            ctx.Pool(self.n_workers, self._initializer, self._initargs)
             if self.n_workers > 1
             else None
         )
-        if self.n_workers == 1:
-            _worker_init(self._initializer, self._initargs)  # inline "pool"
+        if self.n_workers == 1 and self._initializer is not None:
+            self._initializer(*self._initargs)  # inline "pool"
         self._closed = False
         self.collect_timings = collect_timings
         self.supervise = supervise
@@ -278,11 +262,7 @@ class WorkerPool:
             self.n_workers = max(self.min_workers, self.n_workers // 2)
         ctx = mp.get_context(self.start_method)
         self._pool = (
-            ctx.Pool(
-                self.n_workers,
-                _worker_init,
-                (self._initializer, self._initargs),
-            )
+            ctx.Pool(self.n_workers, self._initializer, self._initargs)
             if self.n_workers > 1
             else None
         )

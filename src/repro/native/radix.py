@@ -12,10 +12,7 @@ The per-element work runs through the cache-conscious kernel layer
 max seeds ``key_bits`` (so a 16-bit workload pays 2 passes, not 3), each
 permute is a blocked stable counting placement writing contiguous
 per-bucket runs (no ``argsort``-based rank reconstruction, no defensive
-chunk copy, no per-element scattered stores), and
-``REPRO_NATIVE_KERNEL=numba`` swaps in single-loop JIT kernels with a
-pure-NumPy fallback.  Tasks carry the parent's resolved kernel name so
-every worker uses the same implementation.
+chunk copy, no per-element scattered stores).
 
 Supervised-retry safety: a permute task reads ``src`` and ``offs`` (both
 unmodified -- each task advances a private cursor copy) and overwrites
@@ -30,15 +27,14 @@ from contextlib import ExitStack
 import numpy as np
 
 from ..sorts.common import n_passes
-from .kernels import resolve as resolve_kernel
+from . import kernels
 from .kernels import slice_bounds
 from .pool import WorkerPool, default_workers
 from .shm import SharedArray, SortBuffers
 
 
 def _hist_task(args) -> None:
-    (src_name, n, dtype_str, hist_name, p, w, shift, mask, kern_name) = args
-    kern = resolve_kernel(kern_name)
+    (src_name, n, dtype_str, hist_name, p, w, shift, mask) = args
     with ExitStack() as stack:
         src = stack.enter_context(
             SharedArray.attach(src_name, (n,), np.dtype(dtype_str))
@@ -47,13 +43,11 @@ def _hist_task(args) -> None:
             SharedArray.attach(hist_name, (p, mask + 1), np.int64)
         )
         lo, hi = slice_bounds(n, p, w)
-        hist.array[w, :] = kern.histogram(src.array[lo:hi], shift, mask)
+        hist.array[w, :] = kernels.histogram(src.array[lo:hi], shift, mask)
 
 
 def _permute_task(args) -> None:
-    (src_name, dst_name, n, dtype_str, offs_name, p, w, shift, mask,
-     kern_name) = args
-    kern = resolve_kernel(kern_name)
+    (src_name, dst_name, n, dtype_str, offs_name, p, w, shift, mask) = args
     with ExitStack() as stack:
         dt = np.dtype(dtype_str)
         src = stack.enter_context(SharedArray.attach(src_name, (n,), dt))
@@ -66,7 +60,7 @@ def _permute_task(args) -> None:
         # pristine, which keeps a supervised re-run of this task
         # idempotent.
         cursor = offs.array[w].copy()
-        kern.scatter(src.array[lo:hi], dst.array, cursor, shift, mask)
+        kernels.scatter(src.array[lo:hi], dst.array, cursor, shift, mask)
 
 
 def parallel_radix_sort(
@@ -75,7 +69,6 @@ def parallel_radix_sort(
     radix: int = 11,
     pool: WorkerPool | None = None,
     buffers: SortBuffers | None = None,
-    kernel: str | None = None,
 ) -> np.ndarray:
     """Sort non-negative integer keys with a parallel LSD radix sort.
 
@@ -84,9 +77,6 @@ def parallel_radix_sort(
     several sorts, and a :class:`~repro.native.shm.SortBuffers` provider
     (e.g. the serve arena's) to reuse shared buffers across sorts; the
     provider's ``release_all`` is always called before returning.
-    ``kernel`` pins a kernel implementation by name (default: the
-    ``REPRO_NATIVE_KERNEL`` environment variable, see
-    :mod:`repro.native.kernels`).
     """
     keys = np.ascontiguousarray(keys)
     if keys.ndim != 1:
@@ -98,10 +88,9 @@ def parallel_radix_sort(
     if not 1 <= radix <= 20:
         raise ValueError("radix must be in [1, 20]")
 
-    kern = resolve_kernel(kernel)
     # Fused validation: one pass over memory yields both the
     # non-negativity check and the max that sizes the pass count.
-    lo_key, hi_key = kern.minmax(keys)
+    lo_key, hi_key = kernels.minmax(keys)
     if lo_key < 0:
         raise ValueError("radix sort requires non-negative keys")
     key_bits = max(1, int(hi_key).bit_length())
@@ -137,8 +126,8 @@ def parallel_radix_sort(
             shift = k * radix
             pool.run_phase(
                 _hist_task,
-                [(src.name, n, dtype_str, hist.name, p, w, shift, mask,
-                  kern.name) for w in range(p)],
+                [(src.name, n, dtype_str, hist.name, p, w, shift, mask)
+                 for w in range(p)],
                 name=f"pass{k}.histogram",
             )
             # Global exclusive offsets, digit-major then worker-major --
@@ -149,7 +138,7 @@ def parallel_radix_sort(
             pool.run_phase(
                 _permute_task,
                 [(src.name, dst.name, n, dtype_str, offs.name, p, w, shift,
-                  mask, kern.name) for w in range(p)],
+                  mask) for w in range(p)],
                 name=f"pass{k}.permute",
             )
             src, dst = dst, src

@@ -73,6 +73,8 @@ class PredictedBackend(Backend):
         # with a typed error instead of mis-predicting silently.
         check_machine_calibrated(job.machine)
         job, workload_plan = prepare_workload(job)
+        if job.algorithm not in ("radix", "sample"):
+            raise ValueError(f"unknown algorithm {job.algorithm!r}")
         radix = job.radix if job.radix is not None else DEFAULT_RADIX[job.algorithm]
         n_procs = job.n_procs if job.n_procs is not None else 64
         machine = job.machine or default_machine(n_procs)
@@ -85,8 +87,6 @@ class PredictedBackend(Backend):
                     "distribution= and n_labeled= to derive workload "
                     "statistics from"
                 )
-            if job.algorithm not in ("radix", "sample"):
-                raise ValueError(f"unknown algorithm {job.algorithm!r}")
             key_bits = job.key_bits if job.key_bits is not None else 31
             stats = family_stats(
                 job.distribution, job.algorithm, job.n_labeled, n_procs,

@@ -3,9 +3,7 @@
 One engine owns the process-heavy state the server amortizes across
 jobs: a supervised :class:`~repro.native.pool.WorkerPool` whose workers
 run :func:`repro.native.shm.enable_attach_cache` at start (and after
-every supervised rebuild -- the pool's built-in worker init also warms
-the active sort kernel, so a numba JIT compile never lands inside a
-job), and a shared-memory :class:`~.arena.Arena` whose slab names those
+every supervised rebuild), and a shared-memory :class:`~.arena.Arena` whose slab names those
 caches memoize.  Jobs execute one at a time on a
 dedicated thread (the server's single-lane executor): within-job
 parallelism comes from the pool, between-job concurrency from the
@@ -226,11 +224,8 @@ class SortEngine:
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, Any]:
-        from ..native.kernels import resolve as resolve_kernel
-
         return {
             "n_workers": self.pool.n_workers,
-            "kernel": resolve_kernel().name,
             "jobs_run": self.jobs_run,
             "warmup_rounds": self.warmup_rounds,
             "steady_shm_creates": self.steady_shm_creates,

@@ -1,23 +1,16 @@
-"""Public API tests: the backend-aware ``sort`` plus the legacy shims."""
-
-import warnings
+"""Public API tests: the backend-aware ``sort`` and the sequential
+baseline."""
 
 import numpy as np
 import pytest
 
-from repro import (
-    MemoryRecorder,
-    SortResult,
-    compare_models,
-    sequential_baseline,
-    simulate_sort,
-    sort,
-)
+from repro import MemoryRecorder, SortResult, sequential_baseline, sort
 from repro.data import generate
 
-# The legacy entry points still work, but they warn; the dedicated
-# TestDeprecationShims class asserts the warning itself.
-legacy = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+
+def simulate(keys, **kwargs):
+    """The simulated backend's :class:`~repro.sorts.radix.SortOutcome`."""
+    return sort(keys, backend="sim", **kwargs).outcome
 
 
 class TestSort:
@@ -55,55 +48,54 @@ class TestSort:
             sort(np.arange(16), backend="fpga", n_procs=16)
 
 
-@legacy
 class TestSimulateSort:
     def test_radix_default(self):
         keys = generate("gauss", 16 * 256, 16)
-        out = simulate_sort(keys, n_procs=16)
+        out = simulate(keys, n_procs=16)
         assert np.array_equal(out.sorted_keys, np.sort(keys))
         assert out.algorithm == "radix"
         assert out.radix == 8
 
     def test_sample_default_radix(self):
         keys = generate("gauss", 16 * 256, 16)
-        out = simulate_sort(keys, algorithm="sample", n_procs=16)
+        out = simulate(keys, algorithm="sample", n_procs=16)
         assert out.radix == 11
         assert np.array_equal(out.sorted_keys, np.sort(keys))
 
     @pytest.mark.parametrize("model", ["ccsas", "mpi", "mpi-sgi", "shmem"])
     def test_models_accepted(self, model):
         keys = generate("random", 16 * 64, 16)
-        out = simulate_sort(keys, model=model, n_procs=16)
+        out = simulate(keys, model=model, n_procs=16)
         assert np.array_equal(out.sorted_keys, np.sort(keys))
 
     def test_small_key_range_fewer_passes(self):
         """key_bits follows the actual maximum key (the paper: 'the maximum
         key value determines how many iterations will actually be needed')."""
         keys = np.tile(np.arange(256, dtype=np.int64), 16)
-        out = simulate_sort(keys, n_procs=16, radix=8)
+        out = simulate(keys, n_procs=16, radix=8)
         assert out.passes == 1
 
     def test_rejects_negative_keys(self):
         with pytest.raises(ValueError):
-            simulate_sort(np.array([-1] * 16), n_procs=16)
+            simulate(np.array([-1] * 16), n_procs=16)
 
     def test_rejects_floats(self):
         # Floats are handled by the order-preserving transform at the
         # backend seam; dtypes without such a mapping still raise.
-        out = simulate_sort(np.ones(16) * 2.5, n_procs=16)
+        out = simulate(np.ones(16) * 2.5, n_procs=16)
         assert np.array_equal(out.sorted_keys, np.full(16, 2.5))
         with pytest.raises(TypeError):
-            simulate_sort(np.ones(16, dtype=complex), n_procs=16)
+            simulate(np.ones(16, dtype=complex), n_procs=16)
 
     def test_rejects_empty_and_2d(self):
         with pytest.raises(ValueError):
-            simulate_sort(np.empty(0, dtype=np.int64))
+            simulate(np.empty(0, dtype=np.int64))
         with pytest.raises(ValueError):
-            simulate_sort(np.zeros((4, 4), dtype=np.int64))
+            simulate(np.zeros((4, 4), dtype=np.int64))
 
     def test_rejects_unknown_algorithm(self):
         with pytest.raises(ValueError):
-            simulate_sort(np.arange(16), algorithm="merge", n_procs=16)
+            simulate(np.arange(16), algorithm="merge", n_procs=16)
 
 
 class TestSequentialBaseline:
@@ -113,37 +105,3 @@ class TestSequentialBaseline:
         assert res.time_ns > 0
         assert np.array_equal(res.sorted_keys, np.sort(keys))
 
-
-@legacy
-class TestCompareModels:
-    def test_default_model_sets(self):
-        keys = generate("gauss", 16 * 128, 16)
-        radix = compare_models(keys, "radix", n_procs=16)
-        sample = compare_models(keys, "sample", n_procs=16)
-        assert set(radix) == {"ccsas", "ccsas-new", "mpi-new", "mpi-sgi", "shmem"}
-        assert set(sample) == {"ccsas", "mpi-new", "mpi-sgi", "shmem"}
-        for out in radix.values():
-            assert np.array_equal(out.sorted_keys, np.sort(keys))
-
-    def test_subset(self):
-        keys = generate("gauss", 16 * 128, 16)
-        res = compare_models(keys, "radix", models=["shmem"], n_procs=16)
-        assert list(res) == ["shmem"]
-
-
-class TestDeprecationShims:
-    def test_simulate_sort_warns(self):
-        keys = generate("gauss", 16 * 64, 16)
-        with pytest.warns(DeprecationWarning, match="simulate_sort"):
-            out = simulate_sort(keys, n_procs=16)
-        assert np.array_equal(out.sorted_keys, np.sort(keys))
-
-    def test_compare_models_warns_once(self):
-        keys = generate("gauss", 16 * 64, 16)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            compare_models(keys, "radix", models=["shmem"], n_procs=16)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1  # no per-model warning spam

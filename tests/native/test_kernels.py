@@ -1,5 +1,6 @@
-"""Kernel-layer tests: resolution, primitive parity, blocked placement
-stability, and the engineered sorts' new fast/fallback paths."""
+"""Kernel-layer tests: primitive correctness against NumPy references,
+blocked placement stability, and the engineered sorts' fast/fallback
+paths."""
 
 from __future__ import annotations
 
@@ -8,14 +9,7 @@ import pytest
 
 from repro.data.distributions import PAPER_ORDER, generate
 from repro.native import kernels, shm
-from repro.native.kernels import (
-    KERNEL_ENV,
-    NAIVE_KERNEL,
-    NUMPY_KERNEL,
-    resolve,
-    slice_bounds,
-    warm,
-)
+from repro.native.kernels import slice_bounds
 from repro.native.pool import WorkerPool
 from repro.native.radix import parallel_radix_sort
 from repro.native.sample import (
@@ -32,82 +26,32 @@ def pool():
         yield p
 
 
-class TestResolve:
-    def test_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
-        assert resolve().name == "numpy"
-
-    def test_env_selects(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "naive")
-        assert resolve().name == "naive"
-
-    def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "naive")
-        assert resolve("numpy").name == "numpy"
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="unknown native kernel"):
-            resolve("vectorwidth9000")
-
-    def test_numba_falls_back_with_one_warning(self, monkeypatch):
-        """Without numba installed, requesting it must warn (once) and
-        hand back the engineered NumPy kernel, never fail."""
-        import sys
-        import warnings
-
-        monkeypatch.setattr(kernels, "_numba_cache", None)
-        monkeypatch.setattr(kernels, "_numba_failed", False)
-        monkeypatch.setattr(kernels, "_warned_fallback", False)
-        monkeypatch.setitem(sys.modules, "numba", None)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            kern = resolve("numba")
-        assert kern.name == "numpy"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert resolve("numba").name == "numpy"  # second time: silent
-
-    def test_auto_without_numba_is_numpy(self, monkeypatch):
-        import sys
-
-        monkeypatch.setattr(kernels, "_numba_cache", None)
-        monkeypatch.setattr(kernels, "_numba_failed", False)
-        monkeypatch.setitem(sys.modules, "numba", None)
-        assert resolve("auto").name == "numpy"
-
-    def test_warm_reports_kernel(self):
-        assert warm(NUMPY_KERNEL) == "numpy"
-        assert warm(NAIVE_KERNEL) == "naive"
-
-
 class TestPrimitiveParity:
-    """The engineered kernels must be bit-identical to the seed ones."""
+    """The blocked kernels must match plain NumPy bit for bit."""
 
-    @pytest.fixture(params=["numpy", "naive"])
-    def kern(self, request):
-        return resolve(request.param)
-
-    def test_minmax(self, kern):
+    def test_minmax(self):
         rng = np.random.default_rng(7)
         a = rng.integers(0, 1 << 31, 100_003, dtype=np.int64)
-        assert kern.minmax(a) == (int(a.min()), int(a.max()))
+        assert kernels.minmax(a) == (int(a.min()), int(a.max()))
 
-    def test_minmax_spans_blocks(self, kern, monkeypatch):
+    def test_minmax_spans_blocks(self, monkeypatch):
         monkeypatch.setattr(kernels, "BLOCK_ELEMS", 7)
         a = np.arange(100, dtype=np.int64)
         a[93] = -5  # extremum in a trailing partial block
-        assert kern.minmax(a) == (-5, 99)
+        assert kernels.minmax(a) == (-5, 99)
 
-    def test_histogram(self, kern):
+    def test_histogram(self, monkeypatch):
+        monkeypatch.setattr(kernels, "BLOCK_ELEMS", 4093)  # partial tail block
         rng = np.random.default_rng(8)
         a = rng.integers(0, 1 << 22, 50_001, dtype=np.int64)
         for shift in (0, 11):
-            got = kern.histogram(a, shift, (1 << 11) - 1)
+            got = kernels.histogram(a, shift, (1 << 11) - 1)
             want = np.bincount((a >> shift) & ((1 << 11) - 1),
                                minlength=1 << 11)
             assert np.array_equal(got, want)
             assert got.sum() == len(a)
 
-    def test_scatter_is_stable_counting_placement(self, kern):
+    def test_scatter_is_stable_counting_placement(self):
         # Keys whose low 2 bits collide but whose high bits identify the
         # original order: stability means equal digits keep that order.
         src = np.array([0b100, 0b001, 0b1000, 0b101, 0b1100, 0b010],
@@ -116,7 +60,7 @@ class TestPrimitiveParity:
         counts = np.bincount(src & mask, minlength=mask + 1)
         cursor = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.int64)
         dst = np.full(len(src), -1, dtype=np.int64)
-        kern.scatter(src, dst, cursor, 0, mask)
+        kernels.scatter(src, dst, cursor, 0, mask)
         # digit 0 keys in original order, then digit 1 keys, then digit 2.
         assert dst.tolist() == [0b100, 0b1000, 0b1100, 0b001, 0b101, 0b010]
         # Cursors advanced past each bucket.
@@ -124,29 +68,41 @@ class TestPrimitiveParity:
             cursor, np.cumsum(counts).astype(np.int64)
         )
 
-    def test_scatter_blocked_matches_naive(self, kern, monkeypatch):
+    @pytest.mark.parametrize("shift", [0, 7])
+    def test_scatter_blocked_matches_stable_argsort(self, shift, monkeypatch):
         monkeypatch.setattr(kernels, "BLOCK_ELEMS", 13)  # force many blocks
         rng = np.random.default_rng(9)
         src = rng.integers(0, 1 << 20, 997, dtype=np.int64)
         mask = (1 << 5) - 1
-        counts = np.bincount(src & mask, minlength=mask + 1)
-        base = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.int64)
-        want = np.empty_like(src)
-        NAIVE_KERNEL.scatter(src, want, base.copy(), 0, mask)
+        digits = (src >> shift) & mask
+        counts = np.bincount(digits, minlength=mask + 1)
+        cursor = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.int64)
         got = np.empty_like(src)
-        kern.scatter(src, got, base.copy(), 0, mask)
-        assert np.array_equal(got, want)
+        kernels.scatter(src, got, cursor, shift, mask)
+        assert np.array_equal(got, src[np.argsort(digits, kind="stable")])
+
+    def test_lsd_passes_across_blocks_match_np_sort(self, monkeypatch):
+        monkeypatch.setattr(kernels, "BLOCK_ELEMS", 13)
+        rng = np.random.default_rng(10)
+        keys = rng.integers(0, 1 << 20, 997, dtype=np.int64)
+        mask = (1 << 5) - 1
+        src = keys
+        for shift in range(0, 20, 5):
+            hist = kernels.histogram(src, shift, mask)
+            cursor = np.concatenate(([0], np.cumsum(hist)[:-1])).astype(np.int64)
+            dst = np.empty_like(src)
+            kernels.scatter(src, dst, cursor, shift, mask)
+            src = dst
+        assert np.array_equal(src, np.sort(keys))
 
 
 class TestEngineeredRadix:
     def test_all_paper_distributions_parity(self, pool):
-        """Blocked vs naive kernels vs np.sort on every paper input."""
+        """The blocked radix sort vs np.sort on every paper input."""
         for dist in PAPER_ORDER:
             keys = generate(dist, 1 << 13, 4, seed=11)
-            ref = np.sort(keys)
-            for kern in ("numpy", "naive"):
-                out = parallel_radix_sort(keys, pool=pool, kernel=kern)
-                assert np.array_equal(out, ref), (dist, kern)
+            out = parallel_radix_sort(keys, pool=pool)
+            assert np.array_equal(out, np.sort(keys)), dist
 
     def test_adversarial_duplicates(self, pool):
         rng = np.random.default_rng(12)
@@ -156,10 +112,8 @@ class TestEngineeredRadix:
         ).astype(np.int64)
         sawtooth = (np.arange(n, dtype=np.int64) % 7) << 40
         for keys in (heavy, sawtooth):
-            ref = np.sort(keys)
-            for kern in ("numpy", "naive"):
-                out = parallel_radix_sort(keys, pool=pool, kernel=kern)
-                assert np.array_equal(out, ref)
+            out = parallel_radix_sort(keys, pool=pool)
+            assert np.array_equal(out, np.sort(keys))
 
     def test_stability_across_passes(self, pool):
         """Multi-pass placement must be stable pass over pass: sorting
@@ -169,15 +123,8 @@ class TestEngineeredRadix:
         lo = rng.permutation(1 << 10).astype(np.int64)
         hi = rng.integers(0, 4, 1 << 10, dtype=np.int64)
         keys = (hi << 20) | lo
-        out = parallel_radix_sort(keys, pool=pool, radix=5, kernel="numpy")
+        out = parallel_radix_sort(keys, pool=pool, radix=5)
         assert np.array_equal(out, np.sort(keys))
-
-    def test_env_flag_parity(self, pool, monkeypatch):
-        keys = generate("random", 1 << 12, 4, seed=14)
-        ref = np.sort(keys)
-        for flag in ("numpy", "naive"):
-            monkeypatch.setenv(KERNEL_ENV, flag)
-            assert np.array_equal(parallel_radix_sort(keys, pool=pool), ref)
 
     def test_p1_fast_path_skips_shared_memory(self):
         before = shm.create_count()

@@ -1,7 +1,5 @@
 """Hypothesis properties of the analytic predictor."""
 
-import warnings
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,24 +87,7 @@ class TestSpeedupBounds:
         assert speedup <= 4 * 64
 
 
-class TestDeprecatedShims:
-    def test_predict_time_warns_and_matches(self):
-        from repro.core.predict import predict_time
-
-        with pytest.warns(DeprecationWarning):
-            t_old = predict_time("radix", "shmem", 1 << 20, 16, 8)
-        t_new = _time("radix", "shmem", 1 << 20, 16, 8)
-        assert t_old == pytest.approx(t_new, rel=1e-12)
-
-    def test_predict_speedup_warns_once(self):
-        from repro.core.predict import predict_speedup
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            predict_speedup("radix", "shmem", 1 << 20, 16)
-        deps = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deps) == 1  # the inner predict_time call is silenced
-
+class TestSequentialBaseline:
     def test_sequential_baseline_memoized(self):
         a = sequential_time_ns(1 << 22, 8, DEFAULT_COSTS)
         b = sequential_time_ns(1 << 22, 8, DEFAULT_COSTS)

@@ -119,29 +119,3 @@ class TestWarmupCoverage:
             assert out.shm_creates == 0
             assert out.shm_attaches == 0
 
-
-class TestKernelFlagOnEngine:
-    """The serve arena must keep its zero-traffic steady state under
-    every kernel the flag can select (the buffer shapes are unchanged
-    by the blocked kernels, so slabs leased for the seed layout still
-    fit)."""
-
-    @pytest.mark.parametrize("flag", ["numpy", "naive", "numba"])
-    def test_steady_state_under_kernel_flag(self, flag, monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE_KERNEL", flag)
-        rng = np.random.default_rng(21)
-        with SortEngine(n_workers=2) as eng:
-            eng.warmup()
-            for i, (alg, n) in enumerate(
-                [("radix", 6_000), ("sample", 6_000), ("radix", 12_000)]
-            ):
-                keys = rng.integers(0, 1 << 20, n).astype(np.int64)
-                out = eng.run(f"k{i}", keys, alg)
-                assert np.array_equal(out.sorted_keys, np.sort(keys))
-                assert out.shm_creates == 0
-                assert out.shm_attaches == 0
-            stats = eng.stats()
-            assert stats["steady_shm_creates"] == 0
-            assert stats["steady_shm_attaches"] == 0
-            # numba without the package resolves to the numpy fallback.
-            assert stats["kernel"] in ("numpy", "naive", "numba")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Channel, Resource, SimError, Simulator, Trace
+from repro.sim import Channel, Resource, SimError, Simulator
 
 
 class TestEventsAndTimeouts:
@@ -280,29 +280,3 @@ class TestChannel:
         sim.run()
         assert order == [0, 1, 2, 3, 4]
 
-
-class TestTrace:
-    def test_causality(self):
-        sim = Simulator()
-        trace = Trace(sim)
-
-        def p(name):
-            trace.log(name, "start")
-            yield 5.0
-            trace.log(name, "end")
-
-        sim.process(p("a"))
-        sim.process(p("b"))
-        sim.run()
-        assert trace.is_causal()
-        assert len(trace.by_actor("a")) == 2
-        assert len(trace.by_action("start")) == 2
-
-    def test_format_and_disable(self):
-        sim = Simulator()
-        trace = Trace(sim, enabled=False)
-        trace.log("x", "y")
-        assert trace.records == []
-        trace.enabled = True
-        trace.log("x", "y", 1)
-        assert "x" in trace.format()

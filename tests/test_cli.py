@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.__main__ import SMALL_GRID, main
+from repro.__main__ import SMALL_GRID, SUBCOMMANDS, main
 from repro.report.experiments import EXPERIMENTS
 
 
@@ -14,6 +14,16 @@ class TestCLI:
         out = capsys.readouterr().out
         for exp_id in EXPERIMENTS:
             assert exp_id in out
+        lines = out.splitlines()
+        for name, (_, help_line) in SUBCOMMANDS.items():
+            assert f"{name:<14} {help_line}" in lines
+
+    @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+    def test_subcommand_help(self, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        assert f"python -m repro {name}" in capsys.readouterr().out
 
     def test_unknown_experiment(self, capsys):
         assert main(["fig99"]) == 2
