@@ -6,11 +6,12 @@ that formula, promoted to a first-class backend:
 
 - :mod:`~repro.predict.analytic` -- workload statistics (histograms,
   traffic matrices, localities) in closed form for uniform keys, or
-  measured from real/model-drawn key arrays for any distribution family;
+  measured from model-drawn key arrays for any distribution family;
 - :mod:`~repro.predict.exchange` -- a closed-form stand-in for the
   discrete-event MPI/SHMEM exchange (the simulator's only slow part);
-- :mod:`~repro.predict.driver` -- replays the simulated sorters' exact
-  phase sequence through the shared emission helpers;
+- :mod:`~repro.predict.driver` -- :class:`PredictTeam`, on which the
+  sorts' one program (:mod:`repro.sorts.program`: measured walk plus
+  phase driver) runs with that closed-form exchange;
 - :mod:`~repro.predict.calibration` -- fits per-(algorithm, model)
   exchange overhead factors against simulated grid cells and states the
   resulting error bands;
@@ -21,14 +22,14 @@ in well under a second; the DES stays available for spot checks via
 ``backend="sim"``.
 """
 
-from .analytic import (
+from ..sorts.program import (
     LocalSortStats,
     RadixPassStats,
     WorkloadStats,
-    family_stats,
+    drive,
     measured_stats,
-    uniform_stats,
 )
+from .analytic import family_stats, uniform_stats
 from .backend import PredictedBackend
 from .calibration import (
     Calibration,
@@ -37,7 +38,7 @@ from .calibration import (
     fit_calibration,
     load_calibration,
 )
-from .driver import PredictTeam, drive, predict_outcome, sequential_time_ns
+from .driver import PredictTeam, predict_outcome, sequential_time_ns
 from .exchange import PredictExecutor
 
 __all__ = [

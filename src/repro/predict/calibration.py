@@ -40,8 +40,8 @@ import numpy as np
 from ..core.experiment import ExperimentRunner, RunSpec
 from ..core.gridcache import default_cache_dir
 from ..smp.perf import PerfReport
-from .analytic import measured_stats
-from .driver import CATEGORIES, PredictTeam, drive
+from ..sorts.program import drive, measured_stats
+from .driver import CATEGORIES, PredictTeam
 
 CALIBRATION_VERSION = 1
 

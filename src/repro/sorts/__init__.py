@@ -13,9 +13,9 @@ from .common import (
     partition_counts,
     proc_histograms,
     radix_comm_matrices,
+    rebalance_duplicate_splitters,
     select_samples,
 )
-from .local_sort import local_radix_sort_phases
 from .radix import ParallelRadixSort, SortOutcome, default_machine
 from .sample import ParallelSampleSort
 from .sequential import (
@@ -44,12 +44,12 @@ __all__ = [
     "default_sequential_machine",
     "digits_for_pass",
     "estimate_support",
-    "local_radix_sort_phases",
     "measure_locality",
     "n_passes",
     "partition_counts",
     "proc_histograms",
     "radix_comm_matrices",
+    "rebalance_duplicate_splitters",
     "select_samples",
     "sequential_radix_sort",
 ]

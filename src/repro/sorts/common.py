@@ -283,48 +283,60 @@ def partition_counts(
 ) -> np.ndarray:
     """(p, p) key counts: how many of process i's keys belong to each
     destination's splitter range (computed by binary search, since the
-    local partitions are already sorted).
-
-    Duplicate splitters get special handling: when heavy key duplication
-    (e.g. the ``zero`` distribution's 10% zeros) makes several consecutive
-    splitters equal, the keys equal to that value are spread evenly over
-    the destinations sharing it instead of all landing on the last one --
-    without this, one process would sort the entire duplicated mass.
-    """
+    local partitions are already sorted), with runs of equal splitters
+    rebalanced by :func:`rebalance_duplicate_splitters`."""
     p = len(sorted_parts)
     counts = np.zeros((p, p), dtype=np.int64)
     for i, part in enumerate(sorted_parts):
         # searchsorted boundaries: dest j gets keys in (split[j-1], split[j]]
         edges = np.searchsorted(part, splitters, side="right")
         bounds = np.concatenate(([0], edges, [len(part)]))
-        row = np.diff(bounds)
-        counts[i] = row
-    if len(splitters) == 0:
-        return counts
-    # Rebalance runs of equal splitters.
+        counts[i] = np.diff(bounds)
+    rebalance_duplicate_splitters(counts, splitters, sorted_parts)
+    return counts
+
+
+def rebalance_duplicate_splitters(
+    counts: np.ndarray,
+    splitters: np.ndarray,
+    sorted_parts: list[np.ndarray],
+) -> int:
+    """Spread keys equal to a repeated splitter over its destinations.
+
+    With ``searchsorted(..., side="right")`` counting, a run of equal
+    splitters ``splitters[j..k]`` (heavy key duplication, e.g. the
+    ``zero`` distribution's 10% zeros) sends *every* key equal to that
+    value to destination ``j`` and leaves ``j+1..k`` empty -- one process
+    would sort the entire duplicated mass.  For each run, the keys equal
+    to the shared value are re-spread evenly across the ``k - j + 2``
+    destinations that may hold it.  The result stays globally sorted:
+    the duplicates form one contiguous run in each sorted partition, so
+    consecutive chunks of it go to consecutive destinations.
+
+    ``counts`` (the ``(p, p)`` count matrix over ``sorted_parts``) is
+    mutated in place.  Returns the number of runs rebalanced.
+    """
+    runs = 0
     j = 0
     while j < len(splitters):
         k = j
         while k + 1 < len(splitters) and splitters[k + 1] == splitters[j]:
             k += 1
         if k > j:
+            runs += 1
             value = splitters[j]
-            dests = list(range(j, k + 2))  # destinations that may hold value
+            dests = range(j, k + 2)  # destinations that may hold value
             for i, part in enumerate(sorted_parts):
                 lo = int(np.searchsorted(part, value, side="left"))
                 hi = int(np.searchsorted(part, value, side="right"))
                 dup = hi - lo
                 if dup == 0:
                     continue
-                # With side="right", every key == value was counted at
-                # destination j (the first splitter equal to it); spread
-                # them evenly instead.  Result stays globally sorted:
-                # each destination's slice remains contiguous.
                 counts[i, j] -= dup
                 share, rem = divmod(dup, len(dests))
                 for idx, d in enumerate(dests):
                     counts[i, d] += share + (1 if idx < rem else 0)
         j = k + 1
-    if (counts < 0).any():
+    if runs and (counts < 0).any():
         raise AssertionError("duplicate-splitter rebalancing went negative")
-    return counts
+    return runs

@@ -1,10 +1,10 @@
-"""Local radix-sort phase emission shared by the parallel sorts.
+"""Cost shape of one local radix-sort pass (sample sort's local sorts).
 
-Sample sort runs two complete local radix sorts (phases 1 and 5); parallel
-radix sort's histogram/permutation passes reuse the same access-pattern
-shapes.  This module simulates the local passes functionally (per
-partition) while emitting one compute phase per pass with per-processor
-busy time and cache/TLB access patterns.
+Sample sort runs two complete local radix sorts (phases 1 and 5).  The
+walk in :mod:`repro.sorts.program` measures each pass's write streams and
+destination locality with :func:`local_pass_stats`; the phase driver
+emits each pass as one compute phase with :func:`local_sort_pass_phase`,
+with per-processor busy time and cache/TLB access patterns.
 
 Residency matters here: when a processor's partition fits in its L2 cache,
 passes after the first run out of cache -- this is precisely the
@@ -16,18 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..data.distributions import KEY_BITS
 from ..machine.access import BucketedAppend, SequentialScan
 from ..smp.phases import uniform_compute
 from ..smp.team import Team
 from ..machine.placement import partition_home
-from .common import (
-    ELEM_BYTES,
-    digits_for_pass,
-    elem_bytes_for,
-    measure_locality,
-    n_passes,
-)
+from .common import ELEM_BYTES, digits_for_pass, measure_locality
 
 
 def local_pass_stats(part: np.ndarray, k: int, radix: int) -> tuple[int, float]:
@@ -60,8 +53,6 @@ def local_sort_pass_phase(
     ``labeled_counts[i]`` is processor ``i``'s labeled key count,
     ``actives[i]``/``localities[i]`` its measured (or analytically
     derived) write-stream count and destination locality for this pass.
-    Shared by :func:`local_radix_sort_phases` and the analytic predictor
-    (:mod:`repro.predict`) so both charge identical costs.
     """
     p = team.n_procs
     costs = team.costs
@@ -97,49 +88,3 @@ def local_sort_pass_phase(
         [(pat, h or home) for pat, h in plist] for plist in patterns
     ]
     team.compute(uniform_compute(f"{name}.pass{k}", busy, patterns))
-
-
-def local_radix_sort_phases(
-    team: Team,
-    name: str,
-    parts: list[np.ndarray],
-    labeled_counts: np.ndarray,
-    radix: int,
-    received_cached: bool = False,
-    key_bits: int = KEY_BITS,
-) -> list[np.ndarray]:
-    """Emit the cost phases of per-processor local radix sorts and return
-    the functionally sorted partitions.
-
-    ``parts[i]`` is processor ``i``'s actual (sample-size) data;
-    ``labeled_counts[i]`` its labeled key count for the cost model.
-    ``received_cached`` marks the input as cache-resident at the start
-    (true after a SHMEM ``get``, which deposits data in the cache).
-    """
-    p = team.n_procs
-    if len(parts) != p or len(labeled_counts) != p:
-        raise ValueError("parts and labeled_counts must match team size")
-    passes = n_passes(radix, key_bits)
-    elem_bytes = elem_bytes_for(key_bits)
-
-    cur = [np.asarray(part) for part in parts]
-    for k in range(passes):
-        actives = np.ones(p)
-        localities = np.zeros(p)
-        for i in range(p):
-            if float(labeled_counts[i]) <= 0:
-                continue
-            actives[i], localities[i] = local_pass_stats(cur[i], k, radix)
-        local_sort_pass_phase(
-            team, name, k, np.asarray(labeled_counts, dtype=np.float64),
-            actives, localities, received_cached=received_cached,
-            elem_bytes=elem_bytes,
-        )
-        # Functional pass, partition-local and stable.
-        for i in range(p):
-            if len(cur[i]):
-                digits = digits_for_pass(cur[i], k, radix)
-                cur[i] = cur[i][np.argsort(digits, kind="stable")]
-    return cur
-
-

@@ -10,35 +10,25 @@ difference between the models:
 - CC-SAS-NEW / MPI / SHMEM first permute into local per-chunk buffers,
   then move contiguous chunks (separate messages per chunk for MPI, the
   variant the paper found faster; receiver-initiated gets for SHMEM).
+
+The passes themselves are defined once in :mod:`repro.sorts.program`;
+this module holds the simulator's public entry point, which runs that
+program on a discrete-event :class:`~repro.smp.team.Team`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..data.distributions import KEY_BITS
-from ..machine.access import BucketedAppend, SequentialScan
 from ..machine.config import MachineConfig
 from ..machine.costs import CostModel, DEFAULT_COSTS
-from ..machine.memory import HomeLocation
-from ..machine.placement import partition_home
 from ..models import ProgrammingModel, get_model
 from ..smp.perf import PerfReport
-from ..smp.phases import Transport, uniform_compute
 from ..smp.team import Team
-from .common import (
-    ELEM_BYTES,
-    CommMatrices,
-    apply_radix_pass,
-    digits_for_pass,
-    elem_bytes_for,
-    measure_locality,
-    n_passes,
-    proc_histograms,
-    radix_comm_matrices,
-)
+from .program import drive, walk
 
 
 @dataclass(frozen=True)
@@ -53,7 +43,6 @@ class SortOutcome:
     n_labeled: int
     n_procs: int
     passes: int
-    comm: tuple[CommMatrices, ...] = field(default=())
 
     @property
     def time_ns(self) -> float:
@@ -75,116 +64,19 @@ def default_machine(n_procs: int = 64, page_bytes: int = 64 * 1024) -> MachineCo
     )
 
 
-def _resolve_scale(n_actual: int, n_labeled: int | None, p: int) -> tuple[int, int]:
-    if n_actual <= 0 or n_actual % p != 0:
-        raise ValueError(f"key count {n_actual} must be a positive multiple of p={p}")
-    n = n_labeled if n_labeled is not None else n_actual
-    if n % n_actual != 0:
-        raise ValueError(
-            f"n_labeled={n} must be a multiple of the actual key count {n_actual}"
-        )
-    return n, n // n_actual
+class ParallelSort:
+    """One algorithm on the simulated machine under one programming model:
+    the shared entry point of :class:`ParallelRadixSort` and
+    :class:`~repro.sorts.sample.ParallelSampleSort`."""
 
+    algorithm: str
 
-def radix_histogram_phase(
-    team: Team, tag: str, n_per: int, resident: bool,
-    elem_bytes: int = ELEM_BYTES,
-) -> None:
-    """Emit one pass's histogram phase: every processor scans its
-    partition once.  Shared by the simulated sorter and the analytic
-    predictor (:mod:`repro.predict`) so both charge identical costs."""
-    p = team.n_procs
-    busy = np.full(p, team.costs.hist_busy_ns_per_key * n_per)
-    home = partition_home(team.machine)
-    pattern = [
-        (SequentialScan(n_per, elem_bytes, resident=resident), home)
-    ]
-    team.compute(uniform_compute(f"{tag}.histogram", busy, [list(pattern)] * p))
-
-
-def radix_permute_phase(
-    team: Team,
-    model: ProgrammingModel,
-    tag: str,
-    n_per: int,
-    n: int,
-    active_buckets: int,
-    locality: float,
-    comm: CommMatrices,
-    fits: bool,
-    elem_bytes: int = ELEM_BYTES,
-) -> None:
-    """Emit one pass's permutation compute phase plus the model's
-    all-to-all exchange.  Shared by the simulated sorter and the analytic
-    predictor."""
-    p = team.n_procs
-    c = team.costs
-    nb = active_buckets
-    busy = np.full(p, c.permute_busy_ns_per_key * n_per)
-    home = partition_home(team.machine)
-    read = (SequentialScan(n_per, elem_bytes, resident=fits), home)
-
-    if model.buffers_locally:
-        # Permute into local contiguous chunk buffers, then exchange.
-        write = (
-            BucketedAppend(n_per, nb, elem_bytes, n_per * elem_bytes, locality),
-            home,
-        )
-        team.compute(
-            uniform_compute(f"{tag}.permute-local", busy, [[read, write]] * p)
-        )
-        model.exchange(
-            team,
-            f"{tag}.exchange",
-            comm,
-            locality=1.0,  # chunks are contiguous once buffered
-        )
-    else:
-        # Original CC-SAS: keys go straight into the shared output
-        # array.  Locally destined keys behave like a bucketed append
-        # into the local partition; remote ones are the exchange.
-        patterns = []
-        buckets_local = max(1, nb // p)
-        for i in range(p):
-            diag_keys = int(comm.bytes_matrix[i, i] / elem_bytes)
-            plist = [read]
-            if diag_keys > 0:
-                plist.append(
-                    (
-                        BucketedAppend(
-                            diag_keys,
-                            buckets_local,
-                            elem_bytes,
-                            n_per * elem_bytes,
-                            locality,
-                        ),
-                        home,
-                    )
-                )
-            patterns.append(plist)
-        team.compute(uniform_compute(f"{tag}.permute-scattered", busy, patterns))
-        model.exchange(
-            team,
-            f"{tag}.exchange",
-            comm,
-            locality=locality,
-            writer_buckets=nb,
-            span_bytes=float(n * elem_bytes),
-        )
-
-
-class ParallelRadixSort:
-    """Radix sort on the simulated machine under one programming model."""
-
-    algorithm = "radix"
-
-    def __init__(self, model: ProgrammingModel | str, radix: int = 8):
+    def __init__(self, model: ProgrammingModel | str, radix: int):
         self.model = get_model(model) if isinstance(model, str) else model
         if not 1 <= radix <= 16:
             raise ValueError("radix must be in [1, 16]")
         self.radix = radix
 
-    # ------------------------------------------------------------------
     def run(
         self,
         keys: np.ndarray,
@@ -193,83 +85,31 @@ class ParallelRadixSort:
         costs: CostModel = DEFAULT_COSTS,
         n_labeled: int | None = None,
         key_bits: int = KEY_BITS,
-        keep_comm: bool = False,
     ) -> SortOutcome:
-        keys = np.ascontiguousarray(keys)
         if machine is None:
             machine = default_machine(n_procs or 64)
         p = n_procs if n_procs is not None else machine.n_processors
-        n, scale = _resolve_scale(len(keys), n_labeled, p)
-        team = Team(machine, p, costs, label=f"radix/{self.model.name}")
-        n_per = n // p
-        n_actual_per = len(keys) // p
-        nb = 1 << self.radix
-        passes = n_passes(self.radix, key_bits)
-        elem_bytes = elem_bytes_for(key_bits)
-        l2 = machine.l2.size_bytes
-        c = costs
-
-        cur = keys
-        comm_record: list[CommMatrices] = []
-        shmem_cached = self.model.exchange_transport is Transport.SHMEM_GET
-        for k in range(passes):
-            tag = f"pass{k}"
-            digits = digits_for_pass(cur, k, self.radix)
-            hist = proc_histograms(digits, p, self.radix)
-            locality = measure_locality(digits, p)
-            active_buckets = int(np.count_nonzero(hist.sum(axis=0))) or 1
-            comm = radix_comm_matrices(
-                hist, n_actual_per, scale, elem_bytes=elem_bytes
-            )
-            if keep_comm:
-                comm_record.append(comm)
-
-            fits = n_per * elem_bytes <= l2
-            # Data written by the previous pass is warm only if the
-            # transport deposited it in the cache (SHMEM get) or it was
-            # produced locally and fits.
-            warm_in = fits and k > 0 and shmem_cached
-            self._histogram_phase(team, tag, n_per, warm_in, elem_bytes)
-            self.model.accumulate_histograms(team, nb, tag)
-            self._permute_phase(
-                team, tag, n_per, n, active_buckets, locality, comm, fits,
-                elem_bytes,
-            )
-            team.barrier(f"{tag}.barrier")
-            cur = apply_radix_pass(cur, digits)
-
+        team = Team(machine, p, costs, label=f"{self.algorithm}/{self.model.name}")
+        stats, sorted_keys = walk(
+            keys, self.algorithm, p, self.radix, n_labeled, key_bits
+        )
+        drive(team, self.model, stats)
         return SortOutcome(
-            sorted_keys=cur,
+            sorted_keys=sorted_keys,
             report=team.report(),
             algorithm=self.algorithm,
             model_name=self.model.name,
             radix=self.radix,
-            n_labeled=n,
+            n_labeled=stats.n,
             n_procs=p,
-            passes=passes,
-            comm=tuple(comm_record),
+            passes=stats.passes,
         )
 
-    # ------------------------------------------------------------------
-    def _histogram_phase(
-        self, team: Team, tag: str, n_per: int, resident: bool,
-        elem_bytes: int = ELEM_BYTES,
-    ) -> None:
-        radix_histogram_phase(team, tag, n_per, resident, elem_bytes)
 
-    def _permute_phase(
-        self,
-        team: Team,
-        tag: str,
-        n_per: int,
-        n: int,
-        nb: int,
-        locality: float,
-        comm: CommMatrices,
-        fits: bool,
-        elem_bytes: int = ELEM_BYTES,
-    ) -> None:
-        radix_permute_phase(
-            team, self.model, tag, n_per, n, nb, locality, comm, fits,
-            elem_bytes,
-        )
+class ParallelRadixSort(ParallelSort):
+    """Radix sort on the simulated machine under one programming model."""
+
+    algorithm = "radix"
+
+    def __init__(self, model: ProgrammingModel | str, radix: int = 8):
+        super().__init__(model, radix)

@@ -8,34 +8,18 @@ contiguous chunk per process pair; (5) each process sorts what it
 received.  Sample sort thus does almost double the sorting work of radix
 sort but its communication is far better behaved -- no scattered writes,
 no per-chunk messages.
+
+The phases themselves are defined once in :mod:`repro.sorts.program`;
+this module holds the simulator's public entry point.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..data.distributions import KEY_BITS
-from ..machine.config import MachineConfig
-from ..machine.costs import CostModel, DEFAULT_COSTS
-from ..models import ProgrammingModel, get_model
-from ..smp.phases import Transport, uniform_compute
-from ..smp.team import Team
-from ..verify.context import current_sanitizer
-from .common import (
-    ELEM_BYTES,
-    SAMPLES_PER_PROC,
-    CommMatrices,
-    choose_splitters,
-    elem_bytes_for,
-    n_passes,
-    partition_counts,
-    select_samples,
-)
-from .local_sort import local_radix_sort_phases
-from .radix import SortOutcome, _resolve_scale, default_machine
+from ..models import ProgrammingModel
+from .radix import ParallelSort
 
 
-class ParallelSampleSort:
+class ParallelSampleSort(ParallelSort):
     """Sample sort on the simulated machine under one programming model.
 
     ``radix`` is the radix of the *local* radix sorts; the paper finds 11
@@ -46,122 +30,4 @@ class ParallelSampleSort:
     algorithm = "sample"
 
     def __init__(self, model: ProgrammingModel | str, radix: int = 11):
-        self.model = get_model(model) if isinstance(model, str) else model
-        if not 1 <= radix <= 16:
-            raise ValueError("radix must be in [1, 16]")
-        self.radix = radix
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        keys: np.ndarray,
-        n_procs: int | None = None,
-        machine: MachineConfig | None = None,
-        costs: CostModel = DEFAULT_COSTS,
-        n_labeled: int | None = None,
-        key_bits: int = KEY_BITS,
-        keep_comm: bool = False,
-    ) -> SortOutcome:
-        keys = np.ascontiguousarray(keys)
-        if machine is None:
-            machine = default_machine(n_procs or 64)
-        p = n_procs if n_procs is not None else machine.n_processors
-        n, scale = _resolve_scale(len(keys), n_labeled, p)
-        team = Team(machine, p, costs, label=f"sample/{self.model.name}")
-        n_actual_per = len(keys) // p
-        n_per = n // p
-        elem_bytes = elem_bytes_for(key_bits)
-        c = costs
-
-        # Phase 1: local radix sort of the initial partitions.
-        parts = [keys[i * n_actual_per : (i + 1) * n_actual_per] for i in range(p)]
-        sorted_parts = local_radix_sort_phases(
-            team,
-            "localsort1",
-            parts,
-            np.full(p, n_per, dtype=np.int64),
-            self.radix,
-            key_bits=key_bits,
-        )
-
-        # Phase 2: sample selection (cheap, local: 128 strided reads).
-        pick_busy = SAMPLES_PER_PROC * c.splitter_busy_ns_per_key
-        team.compute(
-            uniform_compute("sample-select", np.full(p, pick_busy))
-        )
-        samples = select_samples(sorted_parts)
-
-        # Phase 3: splitter selection under the model's collection scheme.
-        self.model.gather_samples(
-            team, float(SAMPLES_PER_PROC * elem_bytes), "splitters"
-        )
-        splitters = choose_splitters(samples, p)
-
-        # Phase 4: decide destinations (binary search on sorted data) and
-        # distribute -- one contiguous chunk per process pair.
-        counts = partition_counts(sorted_parts, splitters)
-        decide_busy = np.full(p, np.log2(max(2, n_per)) * (p - 1) * 30.0)
-        team.compute(uniform_compute("decide", decide_busy))
-        comm = CommMatrices(
-            bytes_matrix=counts.astype(np.float64) * elem_bytes * scale,
-            chunks_matrix=(counts > 0).astype(np.float64),
-        )
-        san = current_sanitizer()
-        if san is not None:
-            # Conservation: every process distributes exactly its whole
-            # partition (receive sides are splitter-dependent).
-            san.on_comm(
-                comm.bytes_matrix,
-                comm.chunks_matrix,
-                row_bytes=float(n_per * elem_bytes),
-                col_bytes=None,
-                where="sample.distribute",
-            )
-        self.model.exchange_for_sample(team, "distribute", comm, locality=1.0)
-
-        # Phase 5: local sort of the received keys (imbalance shows up as
-        # barrier SYNC, exactly as on the real machine).
-        received = [
-            np.concatenate(
-                [sorted_parts[src][_range(counts, src, dst)] for src in range(p)]
-            )
-            if counts[:, dst].sum()
-            else np.empty(0, dtype=keys.dtype)
-            for dst in range(p)
-        ]
-        labeled_recv = counts.sum(axis=0).astype(np.int64) * scale
-        sample_tp = self.model.sample_transport or self.model.exchange_transport
-        got_cached = sample_tp in (Transport.SHMEM_GET, Transport.CCSAS_READ)
-        sorted_received = local_radix_sort_phases(
-            team,
-            "localsort2",
-            received,
-            labeled_recv,
-            self.radix,
-            received_cached=got_cached,
-            key_bits=key_bits,
-        )
-        team.barrier("final")
-
-        result = (
-            np.concatenate(sorted_received)
-            if sorted_received
-            else np.empty(0, dtype=keys.dtype)
-        )
-        return SortOutcome(
-            sorted_keys=result,
-            report=team.report(),
-            algorithm=self.algorithm,
-            model_name=self.model.name,
-            radix=self.radix,
-            n_labeled=n,
-            n_procs=p,
-            passes=n_passes(self.radix, key_bits),
-            comm=(comm,) if keep_comm else (),
-        )
-
-
-def _range(counts: np.ndarray, src: int, dst: int) -> slice:
-    """Slice of src's sorted partition destined for dst."""
-    start = int(counts[src, :dst].sum())
-    return slice(start, start + int(counts[src, dst]))
+        super().__init__(model, radix)

@@ -12,12 +12,12 @@ from repro.native import kernels, shm
 from repro.native.kernels import slice_bounds
 from repro.native.pool import WorkerPool
 from repro.native.radix import parallel_radix_sort
-from repro.native.sample import (
-    SPLITTER_SKEW_LIMIT,
-    parallel_sample_sort,
+from repro.native.sample import SPLITTER_SKEW_LIMIT, parallel_sample_sort
+from repro.sorts.common import (
+    n_passes,
+    partition_counts,
     rebalance_duplicate_splitters,
 )
-from repro.sorts.common import n_passes, partition_counts
 
 
 @pytest.fixture(scope="module")
@@ -152,8 +152,8 @@ class TestEngineeredRadix:
 
 class TestSampleRebalance:
     def test_matches_simulated_partition_counts(self):
-        """The native rebalance must produce exactly the count matrix the
-        simulated sorts' partition_counts computes."""
+        """The native sort's rebalance over its count-phase matrix must
+        produce exactly the count matrix partition_counts computes."""
         rng = np.random.default_rng(15)
         n, p = 4096, 4
         keys = np.where(
@@ -171,19 +171,18 @@ class TestSampleRebalance:
         for w, part in enumerate(parts):
             edges = np.searchsorted(part, splitters, side="right")
             counts[w] = np.diff(np.concatenate(([0], edges, [len(part)])))
-        rebalanced = rebalance_duplicate_splitters(
-            counts, splitters, runs, n, p
-        )
+        rebalanced = rebalance_duplicate_splitters(counts, splitters, parts)
         assert rebalanced == 1
         assert np.array_equal(counts, want)
 
     def test_distinct_splitters_untouched(self):
         n, p = 64, 4
         runs = np.sort(np.arange(n, dtype=np.int64))
+        parts = [runs[slice(*slice_bounds(n, p, w))] for w in range(p)]
         splitters = np.array([15, 31, 47], dtype=np.int64)
         counts = np.full((p, p), 4, dtype=np.int64)
         before = counts.copy()
-        assert rebalance_duplicate_splitters(counts, splitters, runs, n, p) == 0
+        assert rebalance_duplicate_splitters(counts, splitters, parts) == 0
         assert np.array_equal(counts, before)
 
     def test_duplicate_heavy_sample_sort(self, pool):

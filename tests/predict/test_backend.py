@@ -41,12 +41,20 @@ class TestParity:
         assert np.array_equal(pred.sorted_keys, sim.sorted_keys)
         assert pred.time_ns == pytest.approx(sim.time_ns, rel=PARITY_RTOL)
 
-    def test_ccsas_reuses_simulated_exchange_exactly(self, keys):
-        """CC-SAS has no closed-form stand-in: bit-identical reports."""
-        job = SortJob(keys=keys, algorithm="radix", model="ccsas", n_procs=P)
+    @pytest.mark.parametrize("algorithm,model", list(_cases()))
+    def test_phase_sequence_matches_simulated(self, keys, algorithm, model):
+        """Both backends run the one shared program: identical phase
+        sequences, and bit-identical reports wherever no closed-form
+        stand-in is involved (every CC-SAS exchange)."""
+        job = SortJob(keys=keys, algorithm=algorithm, model=model, n_procs=P)
         sim = get_backend("sim").run(job)
         pred = PredictedBackend(calibration=False).run(job)
-        assert pred.time_ns == pytest.approx(sim.time_ns, rel=1e-9)
+        assert [r.name for r in pred.report.phases] == [
+            r.name for r in sim.report.phases
+        ]
+        if model.startswith("ccsas"):
+            assert pred.report.counters == sim.report.counters
+            assert pred.time_ns == sim.time_ns
 
 
 class TestStructure:

@@ -280,7 +280,7 @@ def test_corrupted_comm_histogram_caught_in_sort(monkeypatch):
     """End to end: a bug planted upstream of the comm-matrix builder (a
     histogram that invents keys) is caught by the sanitizer's conservation
     check during an otherwise normal run."""
-    from repro.sorts import common, radix
+    from repro.sorts import common, program
 
     real = common.proc_histograms
 
@@ -289,7 +289,7 @@ def test_corrupted_comm_histogram_caught_in_sort(monkeypatch):
         hist[0, 0] += 3  # processor 0 "counts" keys it does not hold
         return hist
 
-    monkeypatch.setattr(radix, "proc_histograms", corrupted)
+    monkeypatch.setattr(program, "proc_histograms", corrupted)
     keys = generate("gauss", 512, 8)
     with use_sanitizer(Sanitizer()):
         with expect_violation(r"comm.key-conservation"):
