@@ -237,6 +237,16 @@ class WorkerPool:
         self._phase_seq = 0
         #: Worker OS pid -> 1-based slot, in order of first appearance.
         self._slot_by_pid: dict[int, int] = {}
+        self._buffers: shm.SortBuffers | None = None
+
+    @property
+    def buffers(self) -> shm.SortBuffers:
+        """This pool's shared sort buffers, created on first use and
+        reused by every sort that passes no provider of its own; they
+        stay mapped (at their largest size) until :meth:`close`."""
+        if self._buffers is None:
+            self._buffers = shm.SortBuffers()
+        return self._buffers
 
     # ------------------------------------------------------------------
     def _slot_of(self, pid: int) -> int:
@@ -470,7 +480,7 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
     def close(self, force: bool = False) -> None:
-        """Shut the pool down and reap its workers.
+        """Shut the pool down, reap its workers and unlink its buffers.
 
         ``force=True`` terminates workers instead of waiting for them to
         drain -- used on the exception path so a failed phase cannot leak
@@ -483,6 +493,8 @@ class WorkerPool:
                 self._pool.close()
             self._pool.join()
         self._closed = True
+        if self._buffers is not None:
+            self._buffers.close()
 
     def terminate(self) -> None:
         """Kill workers immediately (``close(force=True)``)."""

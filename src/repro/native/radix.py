@@ -73,10 +73,11 @@ def parallel_radix_sort(
     """Sort non-negative integer keys with a parallel LSD radix sort.
 
     Returns a new sorted array; ``keys`` is left untouched.  Pass a
-    :class:`~repro.native.pool.WorkerPool` to amortize worker startup over
-    several sorts, and a :class:`~repro.native.shm.SortBuffers` provider
-    (e.g. the serve arena's) to reuse shared buffers across sorts; the
-    provider's ``release_all`` is always called before returning.
+    :class:`~repro.native.pool.WorkerPool` to amortize worker startup and
+    shared buffers over several sorts (``buffers=None`` uses the pool's
+    own), or a :class:`~repro.native.shm.SortBuffers` provider such as
+    the serve arena's; the provider's ``release_all`` is always called
+    before returning.
     """
     keys = np.ascontiguousarray(keys)
     if keys.ndim != 1:
@@ -116,12 +117,12 @@ def parallel_radix_sort(
         return np.sort(keys)
     pool = pool or WorkerPool(n_workers)
 
-    bufs = buffers if buffers is not None else SortBuffers()
-    src = bufs.from_array(keys)
-    dst = bufs.empty((n,), keys.dtype)
-    hist = bufs.empty((p, mask + 1), np.int64)
-    offs = bufs.empty((p, mask + 1), np.int64)
+    bufs = buffers if buffers is not None else pool.buffers
     try:
+        src = bufs.from_array(keys)
+        dst = bufs.empty((n,), keys.dtype)
+        hist = bufs.empty((p, mask + 1), np.int64)
+        offs = bufs.empty((p, mask + 1), np.int64)
         for k in range(passes):
             shift = k * radix
             pool.run_phase(

@@ -1,29 +1,28 @@
 """Actually-parallel sample sort via multiprocessing + shared memory.
 
-The paper's five phases (Section 3.2), with the pool's ``map`` barriers
-between them: local sort, sample selection, splitter computation,
-all-to-all distribution into a shared output array, local sort of the
-received ranges.
+The paper's sample sort (Section 3.2) in two pool phases, with the pool's
+``map`` barrier between them:
 
-Every phase is double-buffered: a task reads one shared array and
-overwrites its full output slice in the *other* (local sort src->dst,
-scatter dst->src, final sort src->dst), never mutating its input.  That
-makes each phase idempotent, which is what lets a supervised
-:class:`~repro.native.pool.WorkerPool` transparently re-run a phase after
-a worker crash or timeout.
+1. ``local-sort``: worker ``w`` sorts its slice of ``src`` into ``dst``.
+2. In the parent (the "group leader" of the paper's CC-SAS scheme):
+   samples, splitters, and the ``(p, p)`` count matrix over the sorted
+   runs (:func:`repro.sorts.common.partition_counts`, the simulator's own
+   searchsorted plus duplicate-splitter rebalance).
+3. ``final-sort``: destination ``d`` *reads* its run from every worker's
+   sorted slice in ``dst`` into ``src[base_d:...]`` and sorts that range
+   in place -- the receiver-reads exchange of the CC-SAS sample sort, so
+   the all-to-all needs no phase of its own.
 
-Sample sort is naturally cache-conscious in the IPS4o sense: every data
-movement is a contiguous block copy (the scatter moves whole per-dest
-runs of the locally sorted slices into contiguous destination ranges),
-so unlike radix it needs no blocked kernel -- what it *does* need is
-protection against duplicate-heavy inputs.  When heavy key duplication
-produces runs of equal splitters, the count phase funnels the entire
-duplicated mass to one destination; the parent rebalances such runs with
-the simulated sorts' own rule
-(:func:`repro.sorts.common.rebalance_duplicate_splitters`) and, if the
-destination ranges are still skewed beyond :data:`SPLITTER_SKEW_LIMIT`,
-falls back to a sequential ``np.sort`` rather than letting one worker sort
-nearly everything behind a barrier the rest idle at.
+Each phase only reads the buffer it does not write (``src`` -> ``dst``,
+then ``dst`` -> ``src``), and overwrites its full output range, so a
+supervised :class:`~repro.native.pool.WorkerPool` can re-run a phase
+after a worker crash or timeout.  The answer is copied out of ``src``.
+
+Heavy key duplication can leave one destination nearly everything even
+after the rebalance; when the largest destination exceeds
+:data:`SPLITTER_SKEW_LIMIT` times the ideal ``n / p`` share, the sort
+falls back to a sequential ``np.sort`` rather than letting one worker
+sort nearly everything behind a barrier the rest idle at.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import numpy as np
 from ..sorts.common import (
     SAMPLES_PER_PROC,
     choose_splitters,
-    rebalance_duplicate_splitters,
+    partition_counts,
     select_samples,
 )
 from .kernels import slice_bounds
@@ -45,7 +44,7 @@ from .shm import SharedArray, SortBuffers
 #: Fall back to sequential ``np.sort`` when, even after duplicate-splitter
 #: rebalancing, the largest destination range exceeds this multiple of the
 #: ideal ``n / p`` share -- a final-sort phase that skewed would serialize
-#: on one worker anyway, and the fallback skips the scatter traffic too.
+#: on one worker anyway.
 SPLITTER_SKEW_LIMIT = 4.0
 
 
@@ -55,59 +54,23 @@ def _local_sort_task(args) -> None:
         dt = np.dtype(dtype_str)
         src = stack.enter_context(SharedArray.attach(src_name, (n,), dt))
         dst = stack.enter_context(SharedArray.attach(dst_name, (n,), dt))
-        lo, hi = _slice(n, p, w)
-        dst.array[lo:hi] = np.sort(src.array[lo:hi])
-
-
-def _count_task(args) -> None:
-    (src_name, n, dtype_str, spl_name, counts_name, p, w) = args
-    with ExitStack() as stack:
-        dt = np.dtype(dtype_str)
-        src = stack.enter_context(SharedArray.attach(src_name, (n,), dt))
-        spl = stack.enter_context(SharedArray.attach(spl_name, (p - 1,), dt))
-        counts = stack.enter_context(
-            SharedArray.attach(counts_name, (p, p), np.int64)
-        )
-        lo, hi = _slice(n, p, w)
-        part = src.array[lo:hi]
-        edges = np.searchsorted(part, spl.array, side="right")
-        bounds = np.concatenate(([0], edges, [len(part)]))
-        counts.array[w, :] = np.diff(bounds)
-
-
-def _scatter_task(args) -> None:
-    (src_name, dst_name, n, dtype_str, counts_name, place_name, p, w) = args
-    with ExitStack() as stack:
-        dt = np.dtype(dtype_str)
-        src = stack.enter_context(SharedArray.attach(src_name, (n,), dt))
-        dst = stack.enter_context(SharedArray.attach(dst_name, (n,), dt))
-        counts = stack.enter_context(
-            SharedArray.attach(counts_name, (p, p), np.int64)
-        )
-        place = stack.enter_context(
-            SharedArray.attach(place_name, (p, p), np.int64)
-        )
-        lo, _ = _slice(n, p, w)
-        start = lo
-        for dest in range(p):
-            c = int(counts.array[w, dest])
-            if c:
-                at = int(place.array[w, dest])
-                dst.array[at : at + c] = src.array[start : start + c]
-            start += c
+        lo, hi = slice_bounds(n, p, w)
+        run = dst.array[lo:hi]
+        run[...] = src.array[lo:hi]
+        run.sort()
 
 
 def _final_sort_task(args) -> None:
-    (src_name, dst_name, n, dtype_str, bounds_lo, bounds_hi) = args
+    (src_name, dst_name, n, dtype_str, base, pieces) = args
     with ExitStack() as stack:
         dt = np.dtype(dtype_str)
         src = stack.enter_context(SharedArray.attach(src_name, (n,), dt))
         dst = stack.enter_context(SharedArray.attach(dst_name, (n,), dt))
-        dst.array[bounds_lo:bounds_hi] = np.sort(src.array[bounds_lo:bounds_hi])
-
-
-# Equal contiguous slices, shared with the radix sort's kernel layer.
-_slice = slice_bounds
+        at = base
+        for start, count in pieces:
+            src.array[at : at + count] = dst.array[start : start + count]
+            at += count
+        src.array[base:at].sort()
 
 
 def parallel_sample_sort(
@@ -118,9 +81,9 @@ def parallel_sample_sort(
     buffers: SortBuffers | None = None,
 ) -> np.ndarray:
     """Sort integer (or any comparable NumPy) keys with parallel sample
-    sort.  Returns a new sorted array.  ``buffers`` substitutes a shared
-    buffer provider (e.g. the serve arena's); its ``release_all`` is
-    always called before returning."""
+    sort.  Returns a new sorted array.  ``buffers=None`` uses the pool's
+    own shared buffers; a provider such as the serve arena's substitutes
+    for them, and its ``release_all`` is always called before returning."""
     keys = np.ascontiguousarray(keys)
     if keys.ndim != 1:
         raise ValueError("keys must be one-dimensional")
@@ -139,61 +102,36 @@ def parallel_sample_sort(
             buffers.release_all()
         return np.sort(keys)
 
-    # Buffer roles per phase (double-buffering, see module docstring):
-    # raw keys live in ``src``; locally-sorted runs in ``dst``; the
-    # scatter rebuilds ``src`` as the globally-partitioned array; the
-    # final sort writes the answer back into ``dst``.
-    bufs = buffers if buffers is not None else SortBuffers()
-    src = bufs.from_array(keys)
-    dst = bufs.empty((n,), keys.dtype)
-    counts = bufs.empty((p, p), np.int64)
+    bufs = buffers if buffers is not None else pool.buffers
     try:
-        # Phase 1: local sorts, src -> dst.
+        src = bufs.from_array(keys)
+        dst = bufs.empty((n,), keys.dtype)
         pool.run_phase(
             _local_sort_task,
             [(src.name, dst.name, n, dtype_str, p, w) for w in range(p)],
             name="local-sort",
         )
-        # Phases 2-3: samples and splitters (tiny; done in the parent, the
-        # "group leader" of the paper's CC-SAS scheme) from the sorted runs.
-        runs = [dst.array[slice(*_slice(n, p, w))] for w in range(p)]
+        bounds = [slice_bounds(n, p, w) for w in range(p)]
+        runs = [dst.array[lo:hi] for lo, hi in bounds]
         splitters = choose_splitters(select_samples(runs, samples_per_worker), p)
-        spl = bufs.from_array(splitters.astype(keys.dtype))
-        # Phase 4a: destination counts over the sorted runs in dst.
-        pool.run_phase(
-            _count_task,
-            [(dst.name, n, dtype_str, spl.name, counts.name, p, w)
-             for w in range(p)],
-            name="count",
-        )
-        # Duplicate-heavy inputs: spread keys equal to a repeated
-        # splitter over the destinations sharing it, and bail out to a
-        # sequential sort if the ranges are still pathologically skewed.
-        c = counts.array
-        rebalance_duplicate_splitters(c, spl.array, runs)
-        dest_totals = c.sum(axis=0)
+        counts = partition_counts(runs, splitters)
+        dest_totals = counts.sum(axis=0)
         if int(dest_totals.max()) > SPLITTER_SKEW_LIMIT * (n / p):
             return np.sort(keys)  # finally still releases buffers/pool
-        dest_base = np.concatenate(([0], np.cumsum(dest_totals)[:-1]))
-        within = np.cumsum(c, axis=0) - c
-        place = bufs.empty((p, p), np.int64)
-        place.array[...] = dest_base[None, :] + within
-        # Phase 4b: all-to-all scatter, dst -> src.
-        pool.run_phase(
-            _scatter_task,
-            [(dst.name, src.name, n, dtype_str, counts.name,
-              place.name, p, w) for w in range(p)],
-            name="scatter",
-        )
-        # Phase 5: sort each destination range, src -> dst.
-        bounds = np.concatenate((dest_base, [n])).astype(np.int64)
+        dest_base = np.cumsum(dest_totals) - dest_totals
+        # run_start[w, d]: where destination d's run starts in dst, inside
+        # worker w's sorted slice.
+        slice_lo = np.array([lo for lo, _ in bounds])[:, None]
+        run_start = slice_lo + np.cumsum(counts, axis=1) - counts
         pool.run_phase(
             _final_sort_task,
-            [(src.name, dst.name, n, dtype_str,
-              int(bounds[d]), int(bounds[d + 1])) for d in range(p)],
+            [(src.name, dst.name, n, dtype_str, int(dest_base[d]),
+              tuple((int(run_start[w, d]), int(counts[w, d]))
+                    for w in range(p) if counts[w, d]))
+             for d in range(p)],
             name="final-sort",
         )
-        result = dst.array.copy()
+        result = src.array.copy()
     finally:
         bufs.release_all()
         if own_pool:

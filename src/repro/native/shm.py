@@ -11,27 +11,34 @@ Two fault sites live here (see :mod:`repro.faults` and docs/FAULTS.md):
 ``shm.create`` makes creation raise ENOSPC (the classic full ``/dev/shm``)
 and ``shm.attach`` makes the next attach in this process raise EACCES.
 :func:`allocate` / :func:`allocate_from` are the resilient allocation
-front doors the sorts use: bounded retry with backoff, so a transient
-creation failure degrades to a short stall instead of a failed sort.
+front doors: bounded retry with backoff, so a transient creation failure
+degrades to a short stall instead of a failed sort.
 
-Serving support (see :mod:`repro.serve`): every successful create and
-every *fresh* attach bumps a process-local counter
-(:func:`create_count` / :func:`attach_count`), which is how the job
-server proves its steady-state path performs neither.  Long-lived worker
-processes call :func:`enable_attach_cache` so repeat attaches to the
-same named block (the server's arena slabs) reuse the existing mapping
-instead of re-opening it -- a cache hit is not counted as an attach, and
-``close()`` on a cached attachment keeps the mapping alive for the next
-job.  :class:`SortBuffers` is the per-sort buffer-provider seam: the
-default implementation allocates and unlinks per sort, while the serve
-arena substitutes leased slab views so a sort touches no new segments.
+Every successful create and every *fresh* attach bumps a process-local
+counter (:func:`create_count` / :func:`attach_count`), which is how the
+steady-state tests and the job server prove a sort touched no new
+segment.
 
-The kernel-engineered sorts (:mod:`repro.native.kernels`) kept the seed
-buffer shapes -- radix still leases two data arrays plus the ``(p, nb)``
-histogram/offset pair, sample sort two data arrays plus splitter/counts/
-place metadata -- so arena slabs sized for the seed layout serve the
-blocked kernels unchanged; the per-block cursor state lives in ordinary
-worker-local memory, never in a shared segment.
+Sort buffers
+------------
+The sorts never allocate directly; they ask a :class:`SortBuffers`
+provider for :class:`BlockView` buffers (an ndarray view over the prefix
+of a named block, which workers attach by name).  Radix sort leases four:
+the double-buffered ``src``/``dst`` key arrays plus the ``(p, 2**radix)``
+histogram and offset matrices.  Sample sort leases two: ``src`` and
+``dst``; its splitters and count matrix stay in the parent.  Per-block
+kernel state lives in ordinary worker-local memory, never in a shared
+segment.
+
+Two providers exist.  The default :class:`SortBuffers` is *pool-scoped*:
+each :class:`~repro.native.pool.WorkerPool` lazily owns one, a sort's
+``release_all`` returns its blocks to the pool's free list, the next sort
+reuses every block that fits (so a steady stream of same-sized sorts
+creates no segment after the first), and ``WorkerPool.close`` unlinks
+them.  A persistent pool therefore holds its largest buffers until it is
+closed.  The job server's :class:`repro.serve.arena.ArenaBuffers` leases
+views into preallocated slabs instead; a pool whose sorts all pass one
+never creates a block of its own.
 """
 
 from __future__ import annotations
@@ -90,6 +97,13 @@ def enable_attach_cache(on: bool = True) -> None:
     task touching a slab every later attach is a cache hit (no ``shm_open``,
     no counter bump).  Disabling does not drop existing cached mappings;
     call :func:`detach_cached` for that.
+
+    Only safe when block names are stable.  Nothing evicts the cache, so
+    each worker keeps every page it ever touched mapped: with a fresh
+    block per sort it grew a 2-worker tree to 4.7 GB peak RSS over 40
+    sorts of 4 Mi keys, and even with the reused pool buffers it raised
+    that tree's peak RSS from ~537 MB to ~601 MB.  Plain pool workers
+    therefore attach per task.
     """
     global _attach_cache_enabled
     _attach_cache_enabled = on
@@ -313,46 +327,86 @@ def allocate_from(
 
 
 # ----------------------------------------------------------------------
-# Per-sort buffer provider
+# Sort buffers
 # ----------------------------------------------------------------------
+class BlockView:
+    """One sort buffer: an ndarray view over the prefix of a named block.
+
+    Exposes what the sorts need -- ``.name`` (workers attach the block and
+    build the same view over its prefix) and ``.array`` (the parent's
+    view) -- without owning the block.
+    """
+
+    def __init__(
+        self, block: SharedArray, shape: tuple[int, ...], dtype: np.dtype
+    ):
+        self.name = block.name
+        self.array: np.ndarray = np.ndarray(shape, dtype=dtype, buffer=block.array)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<BlockView {self.name} {self.array.shape} {self.array.dtype}>"
+
+
+def buffer_layout(shape: tuple[int, ...] | int, dtype: np.dtype | type) -> tuple:
+    """Normalized ``(shape, dtype, nbytes)`` of a requested buffer."""
+    shape = (shape,) if isinstance(shape, int) else tuple(shape)
+    dtype = np.dtype(dtype)
+    return shape, dtype, max(1, int(np.prod(shape)) * dtype.itemsize)
+
+
 class SortBuffers:
-    """Provides the named shared buffers one sort needs, releases them all.
+    """The pool-scoped buffer provider: blocks outlive the sort.
 
-    The native sorts ask this seam for their buffers instead of calling
-    :func:`allocate` directly, so the execution substrate decides the
-    lifecycle: this default implementation creates fresh blocks and
-    unlinks them in ``release_all`` (the pre-existing behavior), while
-    :class:`repro.serve.arena.ArenaBuffers` hands out views into
-    preallocated slabs and merely returns the leases -- zero creates on
-    the server's steady-state path.
-
-    Whatever ``empty``/``from_array`` return exposes ``.name`` (a block
-    name workers can attach) and ``.array`` (the parent's ndarray view).
+    ``empty`` hands out the smallest free block that fits (creating one
+    only when none does, after unlinking the free blocks that are all too
+    small), ``release_all`` returns every block handed out since the last
+    release to the free list, and ``close`` unlinks them all.  One sort
+    runs at a time per provider: ``release_all`` releases everything.
     """
 
     def __init__(self) -> None:
+        self._free: list[SharedArray] = []
         self._held: list[SharedArray] = []
 
     def empty(
         self, shape: tuple[int, ...] | int, dtype: np.dtype | type = np.int64
-    ) -> SharedArray:
-        sa = allocate(shape, dtype)
-        self._held.append(sa)
-        return sa
+    ) -> BlockView:
+        shape, dtype, nbytes = buffer_layout(shape, dtype)
+        fits = [b for b in self._free if b.array.nbytes >= nbytes]
+        if fits:
+            block = min(fits, key=lambda b: b.array.nbytes)
+            self._free.remove(block)
+        else:
+            _close_all(self._free)  # every free block is too small
+            self._free = []
+            block = allocate((nbytes,), np.uint8)
+        self._held.append(block)
+        return BlockView(block, shape, dtype)
 
-    def from_array(self, source: np.ndarray) -> SharedArray:
-        sa = allocate_from(source)
-        self._held.append(sa)
-        return sa
+    def from_array(self, source: np.ndarray) -> BlockView:
+        view = self.empty(source.shape, source.dtype)
+        view.array[...] = source
+        return view
 
     def release_all(self) -> None:
-        """Release every buffer handed out; idempotent, exception-safe."""
-        held, self._held = self._held, []
-        first_err: BaseException | None = None
-        for sa in reversed(held):
-            try:
-                sa.close()
-            except BaseException as err:  # noqa: BLE001 - release them all
-                first_err = first_err or err
-        if first_err is not None:
-            raise first_err
+        """Return every block handed out to the free list; idempotent."""
+        self._free.extend(self._held)
+        self._held = []
+
+    def close(self) -> None:
+        """Unlink every block, free or held; idempotent."""
+        blocks = self._held + self._free
+        self._held, self._free = [], []
+        _close_all(blocks)
+
+
+def _close_all(blocks: list[SharedArray]) -> None:
+    """Close (and unlink) every block, raising the first error after."""
+    first_err: BaseException | None = None
+    for block in blocks:
+        try:
+            block.close()
+        except BaseException as err:  # noqa: BLE001 - close them all
+            first_err = first_err or err
+    if first_err is not None:
+        raise first_err

@@ -19,7 +19,7 @@ Layering::
 """
 
 from .admission import AdmissionController, Rejection
-from .arena import Arena, ArenaBuffers, ArenaExhausted, JobTooLarge, SlabView
+from .arena import Arena, ArenaBuffers, ArenaExhausted, JobTooLarge
 from .client import ServeClient, ServeError, ServeRejected
 from .engine import EngineOutcome, SortEngine
 from .loadgen import loadgen_ok, loadgen_results, run_loadgen
@@ -57,7 +57,6 @@ __all__ = [
     "ServeError",
     "ServeRejected",
     "ServeServer",
-    "SlabView",
     "SortEngine",
     "StreamSession",
     "decode_keys",

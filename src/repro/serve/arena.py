@@ -1,17 +1,17 @@
 """Reusable shared-memory arena for the job server.
 
-The native sorts normally create four or five named shared-memory blocks
-per sort and unlink them afterwards; at service rates that is thousands
-of ``shm_open``/``shm_unlink`` round trips per second, each a kernel
-call plus a page-cache dance.  The arena removes them from the
-steady-state path: the server creates a small fixed set of *slabs* once
-(two data slabs sized for the largest admissible job, a few smaller meta
-slabs for histograms/splitters), and every job's buffers are ndarray
-views into leased slabs.  Slab names are stable for the server's
-lifetime, so pool workers -- whose attach cache
-(:func:`repro.native.shm.enable_attach_cache`) memoizes by name -- map
-each slab exactly once and every later job runs with zero creates and
-zero attaches, which the per-job trace spans assert.
+A bare :class:`~repro.native.pool.WorkerPool` reuses its own sort buffers
+across calls, but its workers still attach them per task.  The arena
+takes the job server to zero creates *and* zero attaches: the server
+creates a small fixed set of *slabs* once (two data slabs sized for the
+largest admissible job, two smaller meta slabs for the radix histogram
+and offsets), and every job's buffers are ndarray views into leased
+slabs.  Slab names are stable for the server's lifetime, so pool workers
+-- whose attach cache (:func:`repro.native.shm.enable_attach_cache`)
+memoizes by name -- map each slab exactly once and every later job runs
+with zero creates and zero attaches, which the per-job trace spans
+assert.  Because every job passes :class:`ArenaBuffers`, the engine
+pool's own buffers are never created.
 
 Slabs carry a recognizable ``repro_slab_*`` name (instead of CPython's
 anonymous ``psm_*``) so a leaked segment in ``/dev/shm`` is attributable;
@@ -27,7 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..native.shm import SharedArray, SortBuffers, allocate
+from ..native.shm import (
+    BlockView,
+    SharedArray,
+    SortBuffers,
+    allocate,
+    buffer_layout,
+)
 
 #: Name prefix for arena slabs in /dev/shm (leak-audit greps for it).
 SLAB_PREFIX = "repro_slab"
@@ -56,37 +62,15 @@ class _Slab:
         return self.sa.name
 
 
-class SlabView:
-    """One job-lifetime buffer: an ndarray view into a leased slab.
-
-    Duck-types what the sorts need from a :class:`SharedArray` --
-    ``.name`` (workers attach the *slab* and build the same view over its
-    prefix) and ``.array`` -- without owning the underlying block.
-    """
-
-    def __init__(self, slab: _Slab, shape: tuple[int, ...], dtype: np.dtype):
-        self._slab = slab
-        self.shape = shape
-        self.dtype = dtype
-        self.array: np.ndarray = np.ndarray(shape, dtype=dtype, buffer=slab.sa.array)
-
-    @property
-    def name(self) -> str:
-        return self._slab.name
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SlabView {self.name} {self.shape} {self.dtype}>"
-
-
 class Arena:
     """A fixed set of preallocated slabs with lease/release bookkeeping.
 
     ``data_bytes``/``n_data`` size the large slabs (a sort needs two: the
     double-buffered src/dst pair), ``meta_bytes``/``n_meta`` the small
-    ones (radix: histogram + offsets; sample: counts + placement +
-    splitters -- hence the default of three).  Creation is the only time
-    the arena touches the shared-memory system; ``close`` unlinks
-    everything, including on the server's exception path.
+    ones (radix leases two: histogram + offsets; sample sort none).
+    Creation is the only time the arena touches the shared-memory system;
+    ``close`` unlinks everything, including on the server's exception
+    path.
     """
 
     def __init__(
@@ -94,14 +78,14 @@ class Arena:
         data_bytes: int = 8 << 20,
         n_data: int = 2,
         meta_bytes: int = 4 << 20,
-        n_meta: int = 3,
+        n_meta: int = 2,
     ):
         if data_bytes < 1 or meta_bytes < 1:
             raise ValueError("slab sizes must be positive")
         if n_data < 2:
             raise ValueError("a sort double-buffers: need >= 2 data slabs")
-        if n_meta < 3:
-            raise ValueError("sample sort needs >= 3 meta slabs")
+        if n_meta < 2:
+            raise ValueError("radix sort needs >= 2 meta slabs")
         self.data_bytes = int(data_bytes)
         self.meta_bytes = int(meta_bytes)
         self._lock = threading.Lock()
@@ -219,18 +203,11 @@ class ArenaBuffers(SortBuffers):
 
     def empty(
         self, shape: tuple[int, ...] | int, dtype: np.dtype | type = np.int64
-    ) -> SlabView:
-        shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        dtype = np.dtype(dtype)
-        nbytes = max(1, int(np.prod(shape)) * dtype.itemsize)
+    ) -> BlockView:
+        shape, dtype, nbytes = buffer_layout(shape, dtype)
         slab = self._arena.lease(nbytes)
         self._leased.append(slab)
-        return SlabView(slab, shape, dtype)
-
-    def from_array(self, source: np.ndarray) -> SlabView:
-        view = self.empty(source.shape, source.dtype)
-        view.array[...] = source
-        return view
+        return BlockView(slab.sa, shape, dtype)
 
     def release_all(self) -> None:
         leased, self._leased = self._leased, []

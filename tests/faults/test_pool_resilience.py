@@ -50,6 +50,19 @@ class TestCrashRecovery:
         assert np.array_equal(out, np.sort(keys))
         assert plan.stats().all_recovered
 
+    def test_crash_on_first_final_sort_task(self):
+        """Two workers draw crash directives 0-1 in local-sort, so draw 2
+        kills the first final-sort task; its re-run reads the untouched
+        sorted runs in dst and rewrites src, so the output is exact."""
+        keys = _keys(4)
+        plan = FaultPlan.scripted({"pool.worker.crash": [2]})
+        with use_fault_plan(plan):
+            with WorkerPool(2, supervise=True, phase_timeout_s=10.0) as pool:
+                out = parallel_sample_sort(keys, pool=pool)
+        assert np.array_equal(out, np.sort(keys))
+        assert [r["phase"] for r in pool.fault_log] == ["final-sort"]
+        assert plan.recovered["pool.worker.crash"] == 1
+
 
 class TestTimeoutAndShrink:
     def test_hang_hits_timeout_and_completes(self):

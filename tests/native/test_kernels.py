@@ -152,8 +152,9 @@ class TestEngineeredRadix:
 
 class TestSampleRebalance:
     def test_matches_simulated_partition_counts(self):
-        """The native sort's rebalance over its count-phase matrix must
-        produce exactly the count matrix partition_counts computes."""
+        """Rebalancing a raw searchsorted count matrix must produce
+        exactly the count matrix partition_counts (which the native
+        sample sort calls) computes."""
         rng = np.random.default_rng(15)
         n, p = 4096, 4
         keys = np.where(
@@ -201,7 +202,7 @@ class TestSampleRebalance:
 
     def test_skew_fallback_still_sorts(self, pool, monkeypatch):
         """A (monkeypatched) zero skew budget forces the sequential
-        fallback after the count phase; the result must still be
+        fallback after the local sorts; the result must still be
         correct and the shared buffers released."""
         from repro.native import sample
 

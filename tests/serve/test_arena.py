@@ -52,7 +52,7 @@ class TestLeasing:
         with pytest.raises(ValueError):
             Arena(n_data=1)
         with pytest.raises(ValueError):
-            Arena(n_meta=2)
+            Arena(n_meta=1)
 
 
 class TestBuffers:
